@@ -137,7 +137,8 @@ COMMANDS = {
         Opt("out", is_path=True, help="per-genre profile CSV"),
     ],
     "boundary-train": [
-        Opt("data", is_path=True, help="dataset with boundary_flags records"),
+        Opt("data", is_path=True,
+            help="dataset with boundary_flags records; trains on split 'train'"),
         Opt("out", is_path=True, help="checkpoint output path"),
         Opt("epochs", int, 10),
         Opt("batch", int, 256),
@@ -476,11 +477,11 @@ def _cmd_pixstats(v: dict, threads: int) -> tuple:
 def _cmd_boundary_train(v: dict, threads: int) -> tuple:
     dataset = read_dataset(v["data"])
     samples = []
-    for rec in dataset.records:
+    for rec in dataset.split("train"):
         if rec.boundary_flags is not None and len(rec.shots) >= sceneboundary.WINDOW:
             samples.extend(sceneboundary.samples_from_record(rec))
     if not samples:
-        raise ValueError("no annotated records (boundary_flags) in the dataset")
+        raise ValueError("no annotated records (boundary_flags) in split 'train'")
     config = sceneboundary.BoundaryTrainConfig(
         class_weights=_parse_pair(v["weights"], "weights"),
         batch_size=v["batch"], epochs=v["epochs"], max_lr=v["max_lr"],

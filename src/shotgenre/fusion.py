@@ -197,18 +197,17 @@ def assemble_inputs(record: VideoRecord, embedding_table: EmbeddingTable = None,
                     frames_per_shot: int = 3, keywords_k: int = 20) -> dict:
     """Per-modality float32 feature vectors for one record.
 
-    Visual pools sampled shots (seeded-random in train mode, evenly spaced
-    otherwise); audio is the stored embedding; language averages the
-    embeddings of the extracted keywords.
+    Visual pools sampled shots (seeded-random from ``seed`` in train mode,
+    evenly spaced otherwise) through :func:`aggregate.pooled_visual`; audio is
+    the stored embedding; language averages the embeddings of the extracted
+    keywords.
     """
     mods = canonical_modalities(modalities)
     out = {}
     if "visual" in mods:
         mode = "seeded-random" if train_mode else "deterministic-uniform"
-        shots = aggregate.sample_shots(record, num_shots=num_shots,
-                                       frames_per_shot=frames_per_shot,
-                                       mode=mode, seed=seed)
-        out["visual"] = aggregate.video_feature([aggregate.shot_feature(s) for s in shots])
+        out["visual"] = aggregate.pooled_visual(aggregate.pack_records([record]), num_shots,
+                                                frames_per_shot, mode, seeds=[seed])[0]
     if "audio" in mods:
         out["audio"] = record.audio_embedding
     if "language" in mods:
@@ -406,32 +405,20 @@ def _label_matrix(records, taxonomy) -> np.ndarray:
     return np.stack([taxonomy.label_vector(r.genres) for r in records])
 
 
-def _static_features(records, config: TrainConfig, table) -> dict:
+def _static_features(records, modalities, keywords_k: int, table) -> dict:
     feats = {}
-    mods = canonical_modalities(config.modalities)
-    if "audio" in mods:
+    if "audio" in modalities:
         feats["audio"] = np.stack([r.audio_embedding for r in records]).astype(np.float64)
-    if "language" in mods:
+    if "language" in modalities:
         if table is None:
             raise ValueError("language modality requires an embedding table")
         rows = []
         for r in records:
-            kw = textlab.extract_keywords(r.transcript, k=config.keywords_k)
+            kw = textlab.extract_keywords(r.transcript, k=keywords_k)
             vec, _ = textlab.language_feature(kw, table)
             rows.append(vec)
         feats["language"] = np.stack(rows).astype(np.float64)
     return feats
-
-
-def _visual_matrix(records, config: TrainConfig, train_mode: bool, seeds=None) -> np.ndarray:
-    rows = []
-    for i, rec in enumerate(records):
-        mode = "seeded-random" if train_mode else "deterministic-uniform"
-        shots = aggregate.sample_shots(rec, num_shots=config.shots_per_video,
-                                       frames_per_shot=config.frames_per_shot,
-                                       mode=mode, seed=int(seeds[i]) if seeds is not None else 0)
-        rows.append(aggregate.video_feature([aggregate.shot_feature(s) for s in shots]))
-    return np.stack(rows).astype(np.float64)
 
 
 def _macro_map(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -445,7 +432,12 @@ def _macro_map(scores: np.ndarray, labels: np.ndarray) -> float:
 def train(dataset: Dataset, config: TrainConfig, embedding_table: EmbeddingTable = None) -> tuple:
     """Train a fusion model; returns ``(model, history)`` where history holds
     one {epoch, train_loss, val_macro_map} entry per epoch and the model
-    carries the best-validation-mAP parameters."""
+    carries the best-validation-mAP parameters.
+
+    The train split is packed once; each epoch (or only the first, without
+    ``resample_each_epoch``) pools it in one :func:`aggregate.pooled_visual`
+    call from one seeded-random shot draw per record.
+    """
     config.validate()
     mods = canonical_modalities(config.modalities)
     train_recs = dataset.split("train")
@@ -471,11 +463,13 @@ def train(dataset: Dataset, config: TrainConfig, embedding_table: EmbeddingTable
 
     y_train = _label_matrix(train_recs, dataset.taxonomy)
     y_val = _label_matrix(val_recs, dataset.taxonomy)
-    static_train = _static_features(train_recs, config, embedding_table)
-    static_val = _static_features(val_recs, config, embedding_table)
-    val_feats = dict(static_val)
+    shots, frames = config.shots_per_video, config.frames_per_shot
+    static_train = _static_features(train_recs, mods, config.keywords_k, embedding_table)
+    val_feats = _static_features(val_recs, mods, config.keywords_k, embedding_table)
     if "visual" in mods:
-        val_feats["visual"] = _visual_matrix(val_recs, config, train_mode=False)
+        train_packed = aggregate.pack_records(train_recs)
+        val_feats["visual"] = aggregate.pooled_visual(aggregate.pack_records(val_recs),
+                                                      shots, frames)
 
     rng_shuffle = spawn_rng(config.seed, "fusion/shuffle")
     rng_shots = spawn_rng(config.seed, "fusion/shot-seeds")
@@ -491,7 +485,8 @@ def train(dataset: Dataset, config: TrainConfig, embedding_table: EmbeddingTable
     frozen_visual = None
     if "visual" in mods and not config.resample_each_epoch:
         seeds = rng_shots.integers(0, 2 ** 63 - 1, size=n)
-        frozen_visual = _visual_matrix(train_recs, config, train_mode=True, seeds=seeds)
+        frozen_visual = aggregate.pooled_visual(train_packed, shots, frames,
+                                                "seeded-random", seeds)
 
     best_map = -1.0
     best_params = [p.copy() for p in params]
@@ -502,7 +497,8 @@ def train(dataset: Dataset, config: TrainConfig, embedding_table: EmbeddingTable
         if "visual" in mods:
             if config.resample_each_epoch:
                 seeds = rng_shots.integers(0, 2 ** 63 - 1, size=n)
-                feats["visual"] = _visual_matrix(train_recs, config, train_mode=True, seeds=seeds)
+                feats["visual"] = aggregate.pooled_visual(train_packed, shots, frames,
+                                                          "seeded-random", seeds)
             else:
                 feats["visual"] = frozen_visual
 
@@ -555,24 +551,18 @@ def infer_dataset(model: GenreModel, records, embedding_table: EmbeddingTable = 
                   num_shots: int = 8, frames_per_shot: int = 3,
                   keywords_k: int = 20) -> metrics.PredictionSet:
     """Deterministic inference (evenly spaced sampling) over records, order
-    preserved."""
+    preserved: the features of all records are built as (N, d) matrices
+    (visual via :func:`aggregate.pooled_visual`) and scored in one batched
+    :func:`predict`. Rows equal ``predict(model, assemble_inputs(rec, ...))``.
+    """
     records = list(records)
     if not records:
         raise ValueError("empty record set")
-    rows = []
-    for rec in records:
-        inputs = assemble_inputs(rec, embedding_table, train_mode=False,
-                                 modalities=model.modalities, num_shots=num_shots,
-                                 frames_per_shot=frames_per_shot, keywords_k=keywords_k)
-        for m in model.modalities:
-            got = inputs[m].shape[0]
-            want = model.input_dims[m]
-            if got != want:
-                raise ValueError(
-                    f"record {rec.id}: {m} feature dim {got} != model dim {want}"
-                )
-        rows.append(predict(model, inputs))
-    return metrics.PredictionSet(ids=[r.id for r in records], scores=np.stack(rows),
+    feats = _static_features(records, model.modalities, keywords_k, embedding_table)
+    if "visual" in model.modalities:
+        feats["visual"] = aggregate.pooled_visual(aggregate.pack_records(records), num_shots,
+                                                  frames_per_shot)
+    return metrics.PredictionSet(ids=[r.id for r in records], scores=predict(model, feats),
                                  genres=list(model.taxonomy.names))
 
 

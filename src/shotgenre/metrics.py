@@ -120,7 +120,8 @@ def genre_report(predictions: PredictionSet, truth, taxonomy=None, threshold: fl
     if len(predictions.ids) == 0:
         raise ValueError("empty prediction set")
     missing = [i for i in predictions.ids if i not in truth_map]
-    extra = [i for i in truth_map if i not in set(predictions.ids)]
+    predicted_ids = set(predictions.ids)
+    extra = [i for i in truth_map if i not in predicted_ids]
     if missing or extra:
         raise ValueError(
             f"prediction/truth id mismatch (missing truth for {missing[:3]}, "
@@ -130,9 +131,12 @@ def genre_report(predictions: PredictionSet, truth, taxonomy=None, threshold: fl
     scores = predictions.scores.astype(np.float64)
     n, g = scores.shape
     labels = np.zeros((n, g), dtype=np.int64)
+    column = {name: j for j, name in enumerate(names)}
     for i, rid in enumerate(predictions.ids):
         for genre in truth_map[rid]:
-            labels[i, names.index(genre)] = 1
+            if genre not in column:
+                raise ValueError(f"record {rid}: truth genre {genre!r} is not in the taxonomy")
+            labels[i, column[genre]] = 1
 
     predicted = scores >= threshold
     rows = []

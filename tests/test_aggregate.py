@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shotgenre.aggregate import even_indices, sample_shots, shot_feature, video_feature
+from shotgenre import aggregate
+from shotgenre.aggregate import (
+    even_indices, pack_records, pooled_visual, sample_shots, shot_feature, video_feature,
+)
 from shotgenre.featurestore import Shot, VideoRecord
 
 
@@ -137,3 +143,71 @@ class TestSampleShots:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             sample_shots(_record(4), mode="whatever")
+
+
+# Exact float32 values whose float64 sums cancel or absorb terms, so a
+# change in summation order changes the pooled result.
+PALETTE = np.array([2.0 ** 60, -2.0 ** 60, 2.0 ** 30, -2.0 ** 30, 1.0, -1.0, 0.375, 3.0])
+
+
+def _frames(rng, f, d):
+    normal = rng.normal(size=(f, d)) * 10.0 ** rng.integers(-6, 7, size=(f, d))
+    return np.where(rng.random((f, d)) < 0.5, rng.choice(PALETTE, (f, d)),
+                    normal).astype(np.float32)
+
+
+@st.composite
+def ragged_records(draw):
+    """Records of 1-19 shots of 1-11 frames of width 1-4."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    records = []
+    for i in range(draw(st.integers(1, 6))):
+        frame_counts = draw(st.lists(st.integers(1, 11), min_size=1, max_size=19))
+        shots = [Shot(_frames(rng, f, d)) for f in frame_counts]
+        records.append(VideoRecord(f"r{i}", "train", set(), shots, np.zeros(1, np.float32), []))
+    return records
+
+
+class TestPooledVisual:
+    @settings(max_examples=150, deadline=None)
+    @given(records=ragged_records(), num_shots=st.integers(1, 16),
+           frames_per_shot=st.integers(1, 10), mode=st.sampled_from(aggregate.MODES),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_record_path(self, records, num_shots, frames_per_shot, mode, seed):
+        seeds = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=len(records))
+        expect = np.stack([
+            video_feature([shot_feature(s) for s in
+                           sample_shots(r, num_shots, frames_per_shot, mode, int(k))])
+            for r, k in zip(records, seeds)
+        ])
+        # a block of two records makes most groups span several blocks
+        with mock.patch.object(aggregate, "_BLOCK_RECORDS", 2):
+            got = pooled_visual(pack_records(records), num_shots, frames_per_shot, mode, seeds)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, expect)
+
+    def test_default_seeds_are_zero(self):
+        rec = _record(20)
+        got = pooled_visual(pack_records([rec]), mode="seeded-random")
+        expect = video_feature([shot_feature(s) for s in sample_shots(rec, mode="seeded-random")])
+        np.testing.assert_array_equal(got[0], expect)
+
+    def test_empty_record_named(self):
+        empty = VideoRecord("blank", "train", set(), [], np.zeros(3, np.float32), [])
+        with pytest.raises(ValueError, match="record blank"):
+            pack_records([_record(3), empty])
+
+    def test_frameless_shot_named(self):
+        rec = VideoRecord("nof", "train", set(), [Shot(np.zeros((0, 4), np.float32))],
+                          np.zeros(3, np.float32), [])
+        with pytest.raises(ValueError, match="record nof"):
+            pack_records([rec])
+
+    def test_seed_count_checked(self):
+        with pytest.raises(ValueError, match="seeds"):
+            pooled_visual(pack_records([_record(3)]), seeds=[1, 2])
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            pooled_visual(pack_records([_record(3)]), mode="whatever")

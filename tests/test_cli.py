@@ -152,6 +152,41 @@ class TestBoundaryCommands:
         assert set(result) >= {"ap", "recall_at_05", "positives"}
         assert result["ap"] > 0.5
 
+    def test_trains_on_train_split_only(self, annotated, tmp_path):
+        import numpy as np
+
+        from shotgenre import featurestore as fs, sceneboundary as sb
+
+        _, path = annotated
+        train_only = fs.read_dataset(path)
+        seqs, _ = sb.synth_boundary_sequences(num_sequences=3, shots_per_sequence=24,
+                                              feature_dim=6, seed=11)
+        held_out = [fs.VideoRecord(f"t{i}", "test", set(),
+                                   [fs.Shot(f.reshape(1, -1)) for f in feats],
+                                   np.zeros(2, np.float32), [], boundary_flags=flags)
+                    for i, (feats, flags) in enumerate(seqs)]
+        mixed = fs.Dataset(train_only.taxonomy, 6, 2, 2, held_out + train_only.records)
+        fs.write_dataset(mixed, tmp_path / "mixed.jsonl")
+        args = ["--epochs", "2", "--hidden", "8", "--batch", "64", "--seed", "1"]
+        assert run(["boundary-train", "--data", str(path),
+                    "--out", str(tmp_path / "a.ckpt"), *args]) == 0
+        assert run(["boundary-train", "--data", str(tmp_path / "mixed.jsonl"),
+                    "--out", str(tmp_path / "b.ckpt"), *args]) == 0
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_no_annotated_train_records_names_split(self, annotated, tmp_path, capsys):
+        from shotgenre import featurestore as fs
+
+        _, path = annotated
+        ds = fs.read_dataset(path)
+        for rec in ds.records:
+            rec.split = "test"
+        fs.write_dataset(ds, tmp_path / "test_only.jsonl")
+        assert run(["boundary-train", "--data", str(tmp_path / "test_only.jsonl"),
+                    "--out", str(tmp_path / "x.ckpt"), "--epochs", "1",
+                    "--hidden", "4", "--seed", "0"]) == 1
+        assert "'train'" in capsys.readouterr().err
+
     def test_unannotated_data_rejected(self, annotated, tmp_path):
         root, _ = annotated
         plain = tmp_path / "plain.jsonl"

@@ -259,6 +259,33 @@ class TestInference:
         with pytest.raises(ValueError, match="12"):
             fusion.infer_dataset(model, dataset.split("test")[:1], table)
 
+    @pytest.mark.parametrize("strategy", fusion.STRATEGIES)
+    def test_batched_rows_equal_per_record_predict(self, planted, strategy):
+        _, dataset, table, _ = planted
+        cfg = fusion.TrainConfig(strategy=strategy, epochs=2, seed=4, d_h=8,
+                                 shots_per_video=4, frames_per_shot=2, keywords_k=5)
+        model, _ = fusion.train(dataset, cfg, table)
+        recs = dataset.split("test")
+        preds = fusion.infer_dataset(model, recs, table, num_shots=4, frames_per_shot=2,
+                                     keywords_k=5)
+        expect = np.stack([
+            fusion.predict(model, fusion.assemble_inputs(
+                rec, table, modalities=model.modalities, num_shots=4, frames_per_shot=2,
+                keywords_k=5))
+            for rec in recs
+        ])
+        assert preds.scores.dtype == np.float32
+        np.testing.assert_array_equal(preds.scores, expect)
+
+    def test_zero_shot_record_named(self, planted):
+        _, dataset, table, _ = planted
+        model = fusion.make_genre_model("early", ("visual", "audio"), dataset.taxonomy,
+                                        {"visual": 8, "audio": 8}, d_h=4, seed=0)
+        good = dataset.split("test")[0]
+        empty = VideoRecord("no-shots", "test", set(), [], good.audio_embedding, [])
+        with pytest.raises(ValueError, match="record no-shots"):
+            fusion.infer_dataset(model, [good, empty], table)
+
     def test_empty_split_rejected(self, planted):
         _, dataset, table, _ = planted
         model, _ = fusion.train(dataset, fusion.TrainConfig(epochs=1, seed=0, d_h=8), table)

@@ -149,6 +149,13 @@ class TestGenreReport:
         with pytest.raises(ValueError, match="id mismatch"):
             metrics.genre_report(preds, {"other": {"A"}}, GenreTaxonomy(("A", "B")))
 
+    def test_unknown_truth_genre_named(self):
+        preds = make_predictions([[0.5, 0.5], [0.1, 0.9]])
+        truth = {"r0": {"A"}, "r1": {"B", "Western"}}
+        with pytest.raises(ValueError,
+                           match="record r1: truth genre 'Western' is not in the taxonomy"):
+            metrics.genre_report(preds, truth, GenreTaxonomy(("A", "B")))
+
     def test_empty_predictions_rejected(self):
         preds = metrics.PredictionSet(ids=[], scores=np.zeros((0, 2), np.float32),
                                       genres=["A", "B"])
