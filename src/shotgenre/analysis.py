@@ -9,6 +9,7 @@ warm hues are [0, 90) and [330, 360) degrees, cold hues [90, 330), and
 pixels with saturation < 0.15 or value < 0.1 count as neutral.
 """
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,20 +218,23 @@ def genre_profiles(dataset: Dataset) -> list:
 
 def write_labeling_csv(labeling: WindowLabeling, path) -> None:
     """(start, end, genre, score) rows, every window x every genre."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("start,end,genre,score\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["start", "end", "genre", "score"])
         for w in labeling.windows:
             for j, genre in enumerate(labeling.taxonomy.names):
-                fh.write(f"{w.start},{w.end},{genre},{float(w.scores[j])!r}\n")
+                writer.writerow([w.start, w.end, genre, repr(float(w.scores[j]))])
 
 
 def write_profiles_csv(profiles, path) -> None:
     def cell(v):
         return "" if v is None else repr(float(v))
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("genre,num_videos,brightness_mean,brightness_ci,coldwarm_mean,coldwarm_ci,flagged\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["genre", "num_videos", "brightness_mean", "brightness_ci",
+                         "coldwarm_mean", "coldwarm_ci", "flagged"])
         for p in profiles:
-            fh.write(f"{p.genre},{p.num_videos},{cell(p.brightness_mean)},"
-                     f"{cell(p.brightness_ci)},{cell(p.coldwarm_mean)},"
-                     f"{cell(p.coldwarm_ci)},{int(p.flagged)}\n")
+            writer.writerow([p.genre, p.num_videos, cell(p.brightness_mean),
+                             cell(p.brightness_ci), cell(p.coldwarm_mean),
+                             cell(p.coldwarm_ci), int(p.flagged)])

@@ -3,15 +3,18 @@
 Subcommands: synth, train, eval, keywords, tfidf, slide, pixstats,
 boundary-train, boundary-eval, report. Every option can come from a JSON
 config file (``--config``, flat object of option names for the chosen
-subcommand; unknown keys are rejected) with command-line flags taking
-precedence; path options additionally fall back to ``SHOTGENRE_<NAME>``
-environment variables. Every successful run writes a ``.manifest.json``
-recording the effective config, seed, versions and artifact hashes.
+subcommand; unknown keys are rejected, values are converted and checked
+as the flag's text would be, and flags take only JSON true/false) with
+command-line flags taking precedence; path options additionally fall back
+to ``SHOTGENRE_<NAME>`` environment variables. Every successful run writes
+a ``.manifest.json`` recording the effective config, seed, versions and
+artifact hashes.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -188,6 +191,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(o: Opt, key: str, value):
+    """Check and convert one ``--config`` value as argparse would the flag's
+    text: flags take only JSON true/false, other options go through
+    ``o.type`` and ``o.choices``, and null is kept only where the default is
+    None."""
+    if o.is_flag:
+        if not isinstance(value, bool):
+            raise UsageError(f"config key {key!r}: expected true or false, got {value!r}")
+        return value
+    if value is None and o.default is None:
+        return None
+    # JSON numbers are accepted for numeric options; str(int) and str(float)
+    # give text that o.type parses back to the same value.
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        if not (isinstance(value, str) or (numeric and o.type is not str)):
+            raise ValueError
+        value = o.type(str(value))
+    except ValueError:
+        raise UsageError(f"config key {key!r}: expected {o.type.__name__}, got {value!r}") from None
+    if o.choices and value not in o.choices:
+        raise UsageError(
+            f"config key {key!r}: {value!r} is not one of {', '.join(o.choices)}"
+        )
+    return value
+
+
 def _effective_options(command: str, ns: argparse.Namespace, config_path) -> dict:
     """builtin defaults < env (paths) < config file < explicit flags."""
     opts = {o.dest: o for o in COMMANDS[command]}
@@ -214,7 +244,7 @@ def _effective_options(command: str, ns: argparse.Namespace, config_path) -> dic
             dest = key.replace("-", "_")
             if dest not in opts:
                 raise UsageError(f"unknown config key {key!r} for command {command!r}")
-            values[dest] = value
+            values[dest] = _config_value(opts[dest], key, value)
     for dest in opts:
         if hasattr(ns, dest):
             values[dest] = getattr(ns, dest)
@@ -410,12 +440,13 @@ def _cmd_eval(v: dict, threads: int) -> tuple:
 def _cmd_keywords(v: dict, threads: int) -> tuple:
     dataset = read_dataset(v["data"])
     out = v["out"]
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,rank,keyword,frequency\n")
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "rank", "keyword", "frequency"])
         for rec in dataset.records:
             counts = Counter(t.text for t in rec.transcript if t.pos in textlab.KEYWORD_POS)
             for rank, word in enumerate(textlab.extract_keywords(rec.transcript, k=v["k"]), 1):
-                fh.write(f"{rec.id},{rank},{word},{counts[word]}\n")
+                writer.writerow([rec.id, rank, word, counts[word]])
     return out, [out]
 
 

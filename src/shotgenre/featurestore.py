@@ -6,6 +6,10 @@ version, genre taxonomy, and the three feature dimensions; every following
 line is one video record. All floats are 32-bit and serialized as the
 shortest decimal that parses back to the identical 32-bit value, so
 read(write(d)) is a bit-exact identity.
+
+Records from one ``read_dataset`` call, or one ``synth_dataset`` call,
+share their immutable ``Token`` instances: each distinct ``(text, pos)``
+pair is built once and referenced by every transcript that holds it.
 """
 
 import json
@@ -97,6 +101,12 @@ class PixelStats:
 
 @dataclass(frozen=True)
 class Token:
+    """One POS-tagged transcript word.
+
+    Immutable, so records may share instances: the records of one read or
+    one synth hold one ``Token`` per distinct ``(text, pos)`` pair.
+    """
+
     text: str
     pos: str
 
@@ -400,7 +410,28 @@ def _record_to_obj(record: VideoRecord):
     return obj
 
 
-def _record_from_obj(obj, lineno: int) -> VideoRecord:
+def _transcript_from_obj(entries, tokens: dict) -> list:
+    """Map ``[text, pos]`` entries to shared Tokens through ``tokens``, a
+    ``(text, pos) -> Token`` table that holds only string pairs, so a hit
+    needs no type check."""
+    transcript = []
+    for ti, entry in enumerate(entries):
+        if type(entry) is not list or len(entry) != 2:
+            raise ValueError(f"transcript token {ti} is not a [text, pos] pair: {entry!r}")
+        text, pos = entry
+        try:
+            tok = tokens[text, pos]
+        except (KeyError, TypeError):  # a miss, or an unhashable element
+            if type(text) is not str or type(pos) is not str:
+                raise ValueError(
+                    f"transcript token {ti} is not a pair of strings: {entry!r}"
+                ) from None
+            tok = tokens[text, pos] = Token(text, pos)
+        transcript.append(tok)
+    return transcript
+
+
+def _record_from_obj(obj, lineno: int, tokens: dict) -> VideoRecord:
     try:
         shots = []
         for s in obj["shots"]:
@@ -411,7 +442,7 @@ def _record_from_obj(obj, lineno: int) -> VideoRecord:
                     for p in s["pixel_stats"]
                 ]
             shots.append(Shot(np.asarray(s["frames"], dtype=np.float32), stats))
-        transcript = [Token(t[0], t[1]) for t in obj["transcript"]]
+        transcript = _transcript_from_obj(obj["transcript"], tokens)
         return VideoRecord(
             id=obj["id"],
             split=obj["split"],
@@ -450,6 +481,7 @@ def read_dataset(path) -> Dataset:
 
     Raises DatasetFormatError naming the offending line / record id for
     malformed lines, dimension mismatches, duplicate ids, or unknown genres.
+    The records share one ``Token`` per distinct ``(text, pos)`` pair.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -475,6 +507,7 @@ def read_dataset(path) -> Dataset:
 
         records = []
         seen = set()
+        tokens = {}
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -482,7 +515,7 @@ def read_dataset(path) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"line {lineno}: malformed record ({exc})") from exc
-            rec = _record_from_obj(obj, lineno)
+            rec = _record_from_obj(obj, lineno, tokens)
             problems = validate_record(rec, taxonomy, (d_v, d_a, d_l))
             if problems:
                 raise DatasetFormatError(f"line {lineno}: " + "; ".join(problems))
@@ -691,6 +724,12 @@ def synth_dataset(config: SynthConfig, seed: int):
     junk = [f"junk{j}" for j in range(config.num_junk)]
     # junk tokens are deliberately absent from the embedding table
 
+    # One shared Token per word, reused by every record that draws it.
+    vocab_tokens = {name: [Token(w, _ELIGIBLE[j % 3]) for j, w in enumerate(vocab)]
+                    for name, vocab in genre_vocab.items()}
+    filler_tokens = [Token(w, _ELIGIBLE[j % 3]) for j, w in enumerate(fillers)]
+    junk_tokens = [Token(w, _JUNK_POS[j % 3]) for j, w in enumerate(junk)]
+
     table = EmbeddingTable(dim=config.d_l, vectors=vectors)
     truth = PlantedTruth(w_visual=w_v, w_audio=w_a, w_language=w_l,
                          genre_vocab=genre_vocab, filler_tokens=fillers)
@@ -729,24 +768,23 @@ def synth_dataset(config: SynthConfig, seed: int):
 
         tokens = []
         for g in active:
-            vocab = genre_vocab[names[g]]
+            vocab = vocab_tokens[names[g]]
             present = [j for j in range(len(vocab))
                        if rng_text.random() < config.vocab_presence_prob]
             if not present:
                 present = [int(rng_text.integers(0, len(vocab)))]
             for j in present:
                 reps = int(rng_text.integers(4, 7))  # 4..6: dominates fillers
-                tokens.extend([Token(vocab[j], _ELIGIBLE[j % 3])] * reps)
-        for j, tok in enumerate(fillers):
+                tokens.extend([vocab[j]] * reps)
+        for tok in filler_tokens:
             # fixed count in every record: scores land between own-genre
             # vocabulary (reps 4..6, mean 5) and cross-genre leakage, so the
             # per-genre top-N is own vocab followed by fillers, and the
             # cross-genre exclusion removes exactly the fillers
-            tokens.extend([Token(tok, _ELIGIBLE[j % 3])] * 4)
+            tokens.extend([tok] * 4)
         n_junk = int(rng_text.integers(5, 11))
         for _ in range(n_junk):
-            j = int(rng_text.integers(0, config.num_junk))
-            tokens.append(Token(junk[j], _JUNK_POS[j % 3]))
+            tokens.append(junk_tokens[int(rng_text.integers(0, config.num_junk))])
         order = rng_text.permutation(len(tokens))
         transcript = [tokens[j] for j in order]
 

@@ -7,6 +7,7 @@ positive rank. Genres with zero positives score 0.0 and are flagged via
 support=0.
 """
 
+import csv
 import json
 from dataclasses import dataclass
 
@@ -212,15 +213,27 @@ def read_predictions(path) -> PredictionSet:
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DatasetFormatError(f"line 1: malformed prediction header ({exc})") from exc
         ids, rows = [], []
+        seen = set()
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                ids.append(obj["id"])
-                rows.append(np.asarray(obj["scores"], dtype=np.float32))
+                rid = obj["id"]
+                row = np.asarray(obj["scores"], dtype=np.float32)
+                duplicate = rid in seen
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise DatasetFormatError(f"line {lineno}: malformed prediction ({exc})") from exc
+            if duplicate:
+                raise DatasetFormatError(f"line {lineno}: duplicate prediction id {rid!r}")
+            if row.shape != (len(genres),):
+                raise DatasetFormatError(
+                    f"line {lineno}: scores have shape {row.shape}, but the header"
+                    f" taxonomy has {len(genres)} genres"
+                )
+            seen.add(rid)
+            ids.append(rid)
+            rows.append(row)
     scores = np.stack(rows) if rows else np.zeros((0, len(genres)), dtype=np.float32)
     return PredictionSet(ids=ids, scores=scores, genres=genres)
 
@@ -253,7 +266,8 @@ def write_report_text(report: MetricsReport, path) -> None:
 
 def write_report_csv(report: MetricsReport, path) -> None:
     """Flat per-genre rows for plotting."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("genre,recall_at_05,precision_at_05,ap,support\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["genre", "recall_at_05", "precision_at_05", "ap", "support"])
         for r in report.per_genre:
-            fh.write(f"{r.genre},{r.recall!r},{r.precision!r},{r.ap!r},{r.support}\n")
+            writer.writerow([r.genre, repr(r.recall), repr(r.precision), repr(r.ap), r.support])

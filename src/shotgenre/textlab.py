@@ -6,6 +6,7 @@ Keywords are the top-k most frequent noun/pronoun/adjective tokens; the
 TF-IDF variant is raw count times smoothed idf, ln((1+n)/(1+df)) + 1.
 """
 
+import csv
 from collections import Counter
 from dataclasses import dataclass
 
@@ -157,9 +158,10 @@ def filtered_genre_rankings(tables: dict, top_n: int = 20, max_genres: int = 5) 
 def write_ranked_csv(rankings: dict, path, limit: int = None) -> None:
     """Emit (genre, rank, word, score) rows; the data behind per-genre
     wordclouds, without the rendering."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("genre,rank,word,score\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["genre", "rank", "word", "score"])
         for genre in sorted(rankings):
             ranking = rankings[genre] if limit is None else rankings[genre][:limit]
             for rank, (word, score) in enumerate(ranking, start=1):
-                fh.write(f"{genre},{rank},{word},{score!r}\n")
+                writer.writerow([genre, rank, word, repr(score)])

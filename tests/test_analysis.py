@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,16 @@ class TestGenreProfiles:
         lines = (tmp_path / "l.csv").read_text().strip().splitlines()
         assert lines[0] == "start,end,genre,score"
         assert len(lines) == 1 + len(labeling.windows) * 3
+
+    def test_csv_writers_quote_fields(self, tmp_path):
+        odd = 'Sci-Fi, "B"'
+        taxonomy = GenreTaxonomy(("A", odd))
+        ds = Dataset(taxonomy, 4, 2, 2, [_record_with_stats("r0", {odd}, 0.5)])
+        analysis.write_profiles_csv(analysis.genre_profiles(ds), tmp_path / "p.csv")
+        model = fusion.make_genre_model("early", ("visual",), taxonomy, {"visual": 4}, d_h=4)
+        analysis.write_labeling_csv(analysis.sliding_window(make_record(8), model),
+                                    tmp_path / "l.csv")
+        for name in ("p.csv", "l.csv"):
+            with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+                genres = [row["genre"] for row in csv.DictReader(fh)]
+            assert set(genres) == {"A", odd}, name

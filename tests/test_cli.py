@@ -220,6 +220,46 @@ class TestConfigAndErrors:
         assert run(["--config", str(cfg), "synth", "--out", str(tmp_path / "x.jsonl")]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_config_values_converted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"videos": "3", "genres": 2, "noise-v": 0,
+                                   "pixel-stats": False}))
+        out = tmp_path / "x.jsonl"
+        assert run(["--config", str(cfg), "synth", "--out", str(out)]) == 0
+        config = json.loads((tmp_path / "x.jsonl.manifest.json").read_text())["config"]
+        assert config["videos"] == 3 and config["pixel_stats"] is False
+        assert config["noise_v"] == 0.0 and isinstance(config["noise_v"], float)
+        assert len(out.read_text().splitlines()) == 1 + 3
+
+    @pytest.mark.parametrize("key, value, expect", [
+        ("videos", "three", "expected int"),
+        ("videos", 2.5, "expected int"),
+        ("videos", True, "expected int"),
+        ("noise-v", "x", "expected float"),
+        ("out", 5, "expected str"),
+        ("seed", None, "expected int"),
+        ("pixel-stats", "false", "expected true or false"),
+        ("pixel-stats", 1, "expected true or false"),
+    ])
+    def test_config_value_type_usage_error(self, tmp_path, capsys, key, value, expect):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["--config", str(cfg), "synth", "--out", str(tmp_path / "x.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and expect in err
+
+    def test_config_flag_false_and_choices(self, workdir, tmp_path, capsys):
+        _, data, _ = workdir
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"all-pos": False, "limit": None}))
+        assert run(["--config", str(cfg), "tfidf", "--data", str(data),
+                    "--out-prefix", str(tmp_path / "w")]) == 0
+        assert json.loads((tmp_path / "w.manifest.json").read_text())["config"]["all_pos"] is False
+        cfg.write_text(json.dumps({"fusion": "middle"}))
+        assert run(["--config", str(cfg), "train", "--data", str(data),
+                    "--out", str(tmp_path / "m.ckpt")]) == 2
+        assert "'middle' is not one of early, intermediate, late" in capsys.readouterr().err
+
     def test_missing_required_usage_error(self, capsys):
         assert run(["synth"]) == 2
         assert "--out" in capsys.readouterr().err

@@ -130,6 +130,22 @@ class TestReadErrors:
         with pytest.raises(fs.DatasetFormatError, match="Sci-Fi"):
             fs.read_dataset(path)
 
+    @pytest.mark.parametrize("entry", [
+        [5, "NOUN"],
+        [["a"], "NOUN"],
+        ["a", None],
+        ["a", "NOUN", "x"],
+        ["a"],
+        "ab",
+        {"a": "NOUN"},
+    ])
+    def test_malformed_transcript_entry_named(self, tmp_path, entry):
+        line = self._record_line(transcript=[["ok", "NOUN"], entry])
+        path = self._write(tmp_path, [self._header(), line])
+        named = r"line 2: malformed record \(transcript token 1 is not a"
+        with pytest.raises(fs.DatasetFormatError, match=named):
+            fs.read_dataset(path)
+
     def test_zero_byte_file(self, tmp_path):
         path = tmp_path / "z.jsonl"
         path.write_text("", encoding="utf-8")
@@ -241,6 +257,26 @@ class TestSynth:
         for vocab in truth.genre_vocab.values():
             assert all(tok in table for tok in vocab)
         assert all(tok in table for tok in truth.filler_tokens)
+
+
+def _token_counts(dataset):
+    tokens = [t for r in dataset.records for t in r.transcript]
+    return len({id(t) for t in tokens}), len({(t.text, t.pos) for t in tokens})
+
+
+class TestTokenSharing:
+    def test_one_token_per_pair_after_synth_and_read(self, small, tmp_path):
+        ds, _, _ = small
+        path = tmp_path / "d.jsonl"
+        fs.write_dataset(ds, path)
+        first, second = fs.read_dataset(path), fs.read_dataset(path)
+        for d in (ds, first, second):
+            objects, pairs = _token_counts(d)
+            assert objects == pairs > 1
+        assert first == second == ds
+        # the table lives for one read: two reads share no Token
+        ids = [{id(t) for r in d.records for t in r.transcript} for d in (first, second)]
+        assert not ids[0] & ids[1]
 
 
 class TestResplit:

@@ -1,9 +1,12 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
 from oracles import oracle_average_precision
 from shotgenre import metrics
-from shotgenre.featurestore import GenreTaxonomy
+from shotgenre.featurestore import DatasetFormatError, GenreTaxonomy
 
 
 class TestAveragePrecision:
@@ -193,6 +196,35 @@ class TestPredictionFiles:
         assert again.ids == preds.ids
         assert again.genres == preds.genres
         np.testing.assert_array_equal(again.scores, preds.scores)
+
+    def _prediction_file(self, tmp_path, rows):
+        path = tmp_path / "p.jsonl"
+        lines = [json.dumps({"format_version": 1, "taxonomy": ["A", "B"]})]
+        lines += [json.dumps({"id": rid, "scores": scores}) for rid, scores in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_duplicate_id_named(self, tmp_path):
+        path = self._prediction_file(tmp_path, [("r0", [0.1, 0.2]), ("r1", [0.3, 0.4]),
+                                                ("r0", [0.5, 0.6])])
+        with pytest.raises(DatasetFormatError, match="line 4: duplicate prediction id 'r0'"):
+            metrics.read_predictions(path)
+
+    def test_row_width_checked_against_taxonomy(self, tmp_path):
+        path = self._prediction_file(tmp_path, [("r0", [0.1, 0.2]), ("r1", [0.3, 0.4, 0.5])])
+        with pytest.raises(DatasetFormatError, match="line 3: .*2 genres"):
+            metrics.read_predictions(path)
+
+    def test_report_csv_quotes_fields(self, tmp_path):
+        odd = 'Sci-Fi, "B"'
+        taxonomy = GenreTaxonomy(("A", odd))
+        preds = make_predictions([[1.0, 0.0], [0.0, 1.0]], genres=taxonomy.names)
+        rep = metrics.genre_report(preds, {"r0": {"A"}, "r1": {odd}}, taxonomy)
+        metrics.write_report_csv(rep, tmp_path / "r.csv")
+        with open(tmp_path / "r.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["genre"] for r in rows] == ["A", odd]
+        assert [r["support"] for r in rows] == ["1", "1"]
 
     def test_report_files(self, tmp_path):
         taxonomy = GenreTaxonomy(("A", "B"))

@@ -1,3 +1,4 @@
+import csv
 from collections import Counter
 
 import numpy as np
@@ -193,6 +194,16 @@ class TestPlantedPipeline:
         assert lines[0] == "genre,rank,word,score"
         assert lines[1] == "A,1,x,2.0"
         assert len(lines) == 4
+
+
+def test_ranked_csv_quotes_fields(tmp_path):
+    odd = 'Sci-Fi, "B"'
+    path = tmp_path / "rank.csv"
+    textlab.write_ranked_csv({odd: [("a,b", 2.0), ('say "hi"', 1.5)]}, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["genre"], r["rank"], r["word"], r["score"]) for r in rows] == [
+        (odd, "1", "a,b", "2.0"), (odd, "2", 'say "hi"', "1.5")]
 
 
 def test_keyword_counts_consistency():
