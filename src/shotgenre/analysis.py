@@ -81,15 +81,8 @@ def sliding_window(record: VideoRecord, model: fusion.GenreModel,
     if len(record.shots) == 0:
         raise ValueError(f"record {record.id} has no shots")
     shot_feats = np.stack([aggregate.shot_feature(s) for s in record.shots])
-    reused = {}
-    if "audio" in model.modalities:
-        reused["audio"] = record.audio_embedding
-    if "language" in model.modalities:
-        if embedding_table is None:
-            raise ValueError("model uses the language modality: embedding table required")
-        from . import textlab
-        kw = textlab.extract_keywords(record.transcript, k=keywords_k)
-        reused["language"], _ = textlab.language_feature(kw, embedding_table)
+    reused = {m: feats[0] for m, feats in fusion.static_features(
+        [record], model.modalities, keywords_k, embedding_table).items()}
 
     windows = []
     for start, end in window_starts(len(record.shots), window, stride):

@@ -1,5 +1,5 @@
-"""The three multi-modal fusion architectures, the binary-relevance training
-loop, and inference.
+"""The three multi-modal fusion architectures, their binary-relevance
+training, and inference.
 
 Strategies:
   early        - one trunk (hidden ReLU + sigmoid head) over the concatenated
@@ -11,7 +11,10 @@ Strategies:
                  arithmetic mean of the branch probabilities and the loss is
                  the sum of branch BCEs.
 
-Training is binary relevance: one sigmoid output per genre, mean BCE.
+Training is binary relevance: one sigmoid output per genre, mean BCE. The
+loop itself is :func:`nn.fit`; :func:`train` supplies the features (visual
+drawn per epoch, or once), dropout masks, loss and validation macro-mAP. Parameters
+are read and installed through :func:`nn.mlp_params` / :func:`nn.set_mlp_params`.
 Everything is seeded; identical config + seed reproduces checkpoints
 byte-for-byte.
 """
@@ -35,6 +38,7 @@ __all__ = [
     "make_genre_model",
     "model_params",
     "set_model_params",
+    "static_features",
     "assemble_inputs",
     "predict",
     "branch_predictions",
@@ -53,8 +57,7 @@ MODALITIES = ("visual", "audio", "language")
 STRATEGIES = ("early", "intermediate", "late")
 
 
-class TrainingDivergedError(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+TrainingDivergedError = nn.TrainingDivergedError
 
 
 def canonical_modalities(modalities) -> tuple:
@@ -164,32 +167,34 @@ def _mlps(model: GenreModel) -> list:
 
 
 def model_params(model: GenreModel) -> list:
-    arrays = []
-    for net in _mlps(model):
-        for layer in net.layers:
-            arrays += [layer.weights, layer.bias]
-    return arrays
+    return nn.mlp_params(_mlps(model))
 
 
 def set_model_params(model: GenreModel, arrays) -> None:
-    expected = model_params(model)
-    if len(arrays) != len(expected):
-        raise ValueError(f"expected {len(expected)} arrays, got {len(arrays)}")
-    i = 0
-    for net in _mlps(model):
-        for layer in net.layers:
-            w = np.asarray(arrays[i], dtype=np.float32)
-            b = np.asarray(arrays[i + 1], dtype=np.float32)
-            if w.shape != layer.weights.shape or b.shape != layer.bias.shape:
-                raise ValueError("parameter shape mismatch")
-            layer.weights = w
-            layer.bias = b
-            i += 2
+    nn.set_mlp_params(_mlps(model), [np.asarray(a, dtype=np.float32) for a in arrays])
 
 
 # ---------------------------------------------------------------------------
 # input assembly
 # ---------------------------------------------------------------------------
+
+def static_features(records, modalities, keywords_k: int, table) -> dict:
+    """Float32 ``(N, d)`` audio and language matrices of ``records`` for the
+    requested modalities (visual is sampled separately): audio is the stored
+    embedding, language the mean embedding of the extracted keywords."""
+    feats = {}
+    if "audio" in modalities:
+        feats["audio"] = np.stack([r.audio_embedding for r in records])
+    if "language" in modalities:
+        if table is None:
+            raise ValueError("language modality requires an embedding table")
+        feats["language"] = np.stack([
+            textlab.language_feature(textlab.extract_keywords(r.transcript, k=keywords_k),
+                                     table)[0]
+            for r in records
+        ])
+    return feats
+
 
 def assemble_inputs(record: VideoRecord, embedding_table: EmbeddingTable = None,
                     train_mode: bool = False, seed: int = 0,
@@ -198,9 +203,8 @@ def assemble_inputs(record: VideoRecord, embedding_table: EmbeddingTable = None,
     """Per-modality float32 feature vectors for one record.
 
     Visual pools sampled shots (seeded-random from ``seed`` in train mode,
-    evenly spaced otherwise) through :func:`aggregate.pooled_visual`; audio is
-    the stored embedding; language averages the embeddings of the extracted
-    keywords.
+    evenly spaced otherwise) through :func:`aggregate.pooled_visual`; audio
+    and language are row 0 of :func:`static_features`.
     """
     mods = canonical_modalities(modalities)
     out = {}
@@ -208,13 +212,8 @@ def assemble_inputs(record: VideoRecord, embedding_table: EmbeddingTable = None,
         mode = "seeded-random" if train_mode else "deterministic-uniform"
         out["visual"] = aggregate.pooled_visual(aggregate.pack_records([record]), num_shots,
                                                 frames_per_shot, mode, seeds=[seed])[0]
-    if "audio" in mods:
-        out["audio"] = record.audio_embedding
-    if "language" in mods:
-        if embedding_table is None:
-            raise ValueError("language modality requires an embedding table")
-        keywords = textlab.extract_keywords(record.transcript, k=keywords_k)
-        out["language"], _ = textlab.language_feature(keywords, embedding_table)
+    for m, feats in static_features([record], mods, keywords_k, embedding_table).items():
+        out[m] = feats[0]
     return out
 
 
@@ -373,28 +372,11 @@ def loss_and_grads(model: GenreModel, inputs: dict, labels, masks: dict = None) 
     return loss, grads
 
 
-def _set_params_raw(model: GenreModel, arrays) -> None:
-    # unlike set_model_params, keeps the given dtype (float64 for grad checks)
-    i = 0
-    for net in _mlps(model):
-        for layer in net.layers:
-            layer.weights = arrays[i]
-            layer.bias = arrays[i + 1]
-            i += 2
-
-
 def grad_check_closure(model: GenreModel, inputs: dict, labels) -> tuple:
     """(loss_fn, x0) for :func:`nn.grad_check`: the training loss as a float64
     function of the flattened parameter vector."""
     clone = copy.deepcopy(model)
-    x0, shapes = nn.flatten_arrays(model_params(model))
-
-    def fn(vec):
-        _set_params_raw(clone, nn.unflatten_vector(vec, shapes))
-        loss, grads = loss_and_grads(clone, inputs, labels)
-        return loss, nn.flatten_arrays(grads)[0]
-
-    return fn, x0
+    return nn.grad_check_closure(_mlps(clone), lambda: loss_and_grads(clone, inputs, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -403,22 +385,6 @@ def grad_check_closure(model: GenreModel, inputs: dict, labels) -> tuple:
 
 def _label_matrix(records, taxonomy) -> np.ndarray:
     return np.stack([taxonomy.label_vector(r.genres) for r in records])
-
-
-def _static_features(records, modalities, keywords_k: int, table) -> dict:
-    feats = {}
-    if "audio" in modalities:
-        feats["audio"] = np.stack([r.audio_embedding for r in records]).astype(np.float64)
-    if "language" in modalities:
-        if table is None:
-            raise ValueError("language modality requires an embedding table")
-        rows = []
-        for r in records:
-            kw = textlab.extract_keywords(r.transcript, k=keywords_k)
-            vec, _ = textlab.language_feature(kw, table)
-            rows.append(vec)
-        feats["language"] = np.stack(rows).astype(np.float64)
-    return feats
 
 
 def _macro_map(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -457,93 +423,50 @@ def train(dataset: Dataset, config: TrainConfig, embedding_table: EmbeddingTable
     input_dims = {"visual": dataset.d_v, "audio": dataset.d_a, "language": dataset.d_l}
     model = make_genre_model(config.strategy, mods, dataset.taxonomy,
                              input_dims, config.d_h, seed=config.seed)
-    history = []
     if config.epochs == 0:
-        return model, history
+        return model, []
 
     y_train = _label_matrix(train_recs, dataset.taxonomy)
     y_val = _label_matrix(val_recs, dataset.taxonomy)
     shots, frames = config.shots_per_video, config.frames_per_shot
-    static_train = _static_features(train_recs, mods, config.keywords_k, embedding_table)
-    val_feats = _static_features(val_recs, mods, config.keywords_k, embedding_table)
+    n = len(train_recs)
+    feats = static_features(train_recs, mods, config.keywords_k, embedding_table)
+    val_feats = static_features(val_recs, mods, config.keywords_k, embedding_table)
+    rng_shots = spawn_rng(config.seed, "fusion/shot-seeds")
+    rng_drop = spawn_rng(config.seed, "fusion/dropout")
+
     if "visual" in mods:
         train_packed = aggregate.pack_records(train_recs)
         val_feats["visual"] = aggregate.pooled_visual(aggregate.pack_records(val_recs),
                                                       shots, frames)
 
-    rng_shuffle = spawn_rng(config.seed, "fusion/shuffle")
-    rng_shots = spawn_rng(config.seed, "fusion/shot-seeds")
-    rng_drop = spawn_rng(config.seed, "fusion/dropout")
+    def begin_epoch(epoch):
+        # one seeded-random shot draw per record, every epoch or only the first
+        if "visual" in mods and (config.resample_each_epoch or epoch == 0):
+            seeds = rng_shots.integers(0, 2 ** 63 - 1, size=n)
+            feats["visual"] = aggregate.pooled_visual(train_packed, shots, frames,
+                                                      "seeded-random", seeds)
 
-    n = len(train_recs)
-    params = model_params(model)
-    state = nn.init_adam(params, lr=config.max_lr)
-    batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
-    total_steps = config.epochs * batches_per_epoch
-    global_step = 0
+    mask_names = ["trunk"] if model.strategy == "early" else list(mods)
+    keep = 1.0 - config.dropout
 
-    frozen_visual = None
-    if "visual" in mods and not config.resample_each_epoch:
-        seeds = rng_shots.integers(0, 2 ** 63 - 1, size=n)
-        frozen_visual = aggregate.pooled_visual(train_packed, shots, frames,
-                                                "seeded-random", seeds)
+    def batch_loss(idx):
+        masks = None
+        if config.dropout > 0.0:
+            masks = {name: (rng_drop.random((len(idx), config.d_h)) < keep) / keep
+                     for name in mask_names}
+        return loss_and_grads(model, {m: feats[m][idx] for m in mods}, y_train[idx],
+                              masks=masks)
 
-    best_map = -1.0
-    best_params = [p.copy() for p in params]
-    best_epoch = -1
+    def evaluate():
+        return _macro_map(predict(model, val_feats).astype(np.float64), y_val)
 
-    for epoch in range(config.epochs):
-        feats = dict(static_train)
-        if "visual" in mods:
-            if config.resample_each_epoch:
-                seeds = rng_shots.integers(0, 2 ** 63 - 1, size=n)
-                feats["visual"] = aggregate.pooled_visual(train_packed, shots, frames,
-                                                          "seeded-random", seeds)
-            else:
-                feats["visual"] = frozen_visual
-
-        perm = rng_shuffle.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            batch = {m: feats[m][idx] for m in mods}
-            labels = y_train[idx]
-            masks = None
-            if config.dropout > 0.0:
-                keep = 1.0 - config.dropout
-                names = ["trunk"] if model.strategy == "early" else list(mods)
-                masks = {
-                    name: (rng_drop.random((len(idx), config.d_h)) < keep) / keep
-                    for name in names
-                }
-            set_model_params(model, params)
-            loss, grads = loss_and_grads(model, batch, labels, masks=masks)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, step {global_step}"
-                )
-            lr = nn.lr_schedule(global_step, total_steps, config.max_lr, config.warmup_frac)
-            if config.optimizer == "adam":
-                params, state = nn.adam_step(params, grads, state, lr=lr)
-            else:
-                params = nn.sgd_step(params, grads, lr)
-            global_step += 1
-            epoch_loss += loss * len(idx)
-
-        set_model_params(model, params)
-        val_scores = predict(model, {m: val_feats[m] for m in mods}).astype(np.float64)
-        val_map = _macro_map(val_scores, y_val)
-        history.append({
-            "epoch": epoch,
-            "train_loss": epoch_loss / n,
-            "val_macro_map": val_map,
-        })
-        if val_map > best_map:
-            best_map = val_map
-            best_params = [p.copy() for p in params]
-            best_epoch = epoch
-
-    set_model_params(model, best_params)
+    history = nn.fit(_mlps(model), n, batch_loss, evaluate, epochs=config.epochs,
+                     batch_size=config.batch_size, max_lr=config.max_lr,
+                     warmup_frac=config.warmup_frac,
+                     rng=spawn_rng(config.seed, "fusion/shuffle"),
+                     score_name="val_macro_map", optimizer=config.optimizer,
+                     begin_epoch=begin_epoch)
     return model, history
 
 
@@ -558,7 +481,7 @@ def infer_dataset(model: GenreModel, records, embedding_table: EmbeddingTable = 
     records = list(records)
     if not records:
         raise ValueError("empty record set")
-    feats = _static_features(records, model.modalities, keywords_k, embedding_table)
+    feats = static_features(records, model.modalities, keywords_k, embedding_table)
     if "visual" in model.modalities:
         feats["visual"] = aggregate.pooled_visual(aggregate.pack_records(records), num_shots,
                                                   frames_per_shot)

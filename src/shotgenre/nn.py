@@ -1,12 +1,17 @@
 """Minimal neural core: dense layers, activations, losses, Adam, reverse-mode
-gradients, and a finite-difference gradient checker.
+gradients, the training loop, and a finite-difference gradient checker.
 
 Parameters are stored as 32-bit arrays; all arithmetic (forward, backward,
 optimizer) runs in 64-bit so gradient checks are meaningful at rtol 1e-4.
 Only the MLP shapes this package needs are supported - no general autodiff.
+
+A model is a list of MLPs. For the fusion and scene-boundary models alike,
+:func:`mlp_params` / :func:`set_mlp_params` get and install its parameters,
+:func:`fit` trains it and :func:`grad_check_closure` checks its gradients.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +23,10 @@ __all__ = [
     "Mlp",
     "AdamState",
     "GradCheckResult",
+    "TrainingDivergedError",
     "make_mlp",
+    "mlp_params",
+    "set_mlp_params",
     "mlp_forward",
     "backward",
     "bce_loss",
@@ -27,7 +35,9 @@ __all__ = [
     "sgd_step",
     "init_adam",
     "lr_schedule",
+    "fit",
     "grad_check",
+    "grad_check_closure",
     "flatten_arrays",
     "unflatten_vector",
     "save_checkpoint",
@@ -94,6 +104,26 @@ def make_mlp(dims, activations, rng: np.random.Generator) -> Mlp:
         for i in range(len(dims) - 1)
     ]
     return Mlp(layers=layers, activations=list(activations))
+
+
+def mlp_params(nets) -> list:
+    """Every layer's (weights, bias) of ``nets``, in net and layer order."""
+    return [p for net in nets for layer in net.layers for p in (layer.weights, layer.bias)]
+
+
+def set_mlp_params(nets, arrays) -> None:
+    """Install ``arrays``, in :func:`mlp_params` order, into ``nets`` as given,
+    keeping their dtype (grad checks install float64). Their count and every
+    shape must match the nets."""
+    layers = [layer for net in nets for layer in net.layers]
+    if len(arrays) != 2 * len(layers):
+        raise ValueError(f"expected {2 * len(layers)} parameter arrays, got {len(arrays)}")
+    for i, (layer, w, b) in enumerate(zip(layers, arrays[0::2], arrays[1::2])):
+        if w.shape != layer.weights.shape or b.shape != layer.bias.shape:
+            raise ValueError(f"layer {i}: parameter shapes {w.shape}, {b.shape} != "
+                             f"{layer.weights.shape}, {layer.bias.shape}")
+        layer.weights = w
+        layer.bias = b
 
 
 def _apply_activation(act: str, z: np.ndarray) -> np.ndarray:
@@ -295,6 +325,62 @@ def lr_schedule(step: int, total_steps: int, max_lr: float, warmup_frac: float =
 
 
 # ---------------------------------------------------------------------------
+# training loop
+# ---------------------------------------------------------------------------
+
+class TrainingDivergedError(RuntimeError):
+    """Raised when the training loss becomes non-finite."""
+
+
+def fit(nets, n: int, batch_loss, evaluate, *, epochs: int, batch_size: int,
+        max_lr: float, warmup_frac: float, rng: np.random.Generator, score_name: str,
+        optimizer: str = "adam", begin_epoch=None) -> list:
+    """Minibatch training of the parameters of ``nets`` over ``n`` samples.
+
+    Each epoch calls ``begin_epoch(epoch)`` if given, shuffles with
+    ``rng.permutation(n)``, then per batch installs the parameters and takes
+    an ``optimizer`` ("adam" or "sgd") step at the :func:`lr_schedule` rate on
+    ``batch_loss(idx) -> (loss, grads in mlp_params order)``; a non-finite
+    loss raises :class:`TrainingDivergedError`. ``evaluate()`` then scores the
+    epoch (higher is better). Returns one ``{"epoch", "train_loss",
+    score_name}`` row per epoch; the nets end with the best-scoring parameters.
+    """
+    params = mlp_params(nets)
+    state = init_adam(params, lr=max_lr)
+    total_steps = epochs * ((n + batch_size - 1) // batch_size)
+    step = 0
+    history = []
+    best_score = -1.0
+    best_params = [p.copy() for p in params]
+    for epoch in range(epochs):
+        if begin_epoch is not None:
+            begin_epoch(epoch)
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, batch_size):
+            idx = perm[start:start + batch_size]
+            set_mlp_params(nets, params)
+            loss, grads = batch_loss(idx)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, step {step}")
+            lr = lr_schedule(step, total_steps, max_lr, warmup_frac)
+            if optimizer == "adam":
+                params, state = adam_step(params, grads, state, lr=lr)
+            else:
+                params = sgd_step(params, grads, lr)
+            step += 1
+            epoch_loss += loss * len(idx)
+        set_mlp_params(nets, params)
+        score = evaluate()
+        history.append({"epoch": epoch, "train_loss": epoch_loss / n, score_name: score})
+        if score > best_score:
+            best_score = score
+            best_params = [p.copy() for p in params]
+    set_mlp_params(nets, best_params)
+    return history
+
+
+# ---------------------------------------------------------------------------
 # gradient checking
 # ---------------------------------------------------------------------------
 
@@ -352,6 +438,21 @@ def grad_check(loss_fn, params, h: float = 1e-4) -> GradCheckResult:
     return GradCheckResult(max_rel_error=max_err, rel_errors=rel, skipped=skipped)
 
 
+def grad_check_closure(nets, loss_and_grads) -> tuple:
+    """``(loss_fn, x0)`` for :func:`grad_check` over the parameters of
+    ``nets``: ``loss_fn`` installs the flat vector into ``nets`` as float64
+    arrays and returns ``loss_and_grads()`` with its gradients flattened.
+    The nets are overwritten, so pass a copy of the model."""
+    x0, shapes = flatten_arrays(mlp_params(nets))
+
+    def fn(vec):
+        set_mlp_params(nets, unflatten_vector(vec, shapes))
+        loss, grads = loss_and_grads()
+        return loss, flatten_arrays(grads)[0]
+
+    return fn, x0
+
+
 def flatten_arrays(arrays) -> tuple:
     """Concatenate arrays into one float64 vector; returns (vector, shapes)."""
     shapes = [a.shape for a in arrays]
@@ -364,7 +465,7 @@ def unflatten_vector(vec, shapes) -> list:
     out = []
     pos = 0
     for shape in shapes:
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)
         out.append(np.asarray(vec[pos:pos + size], dtype=np.float64).reshape(shape))
         pos += size
     if pos != len(vec):
@@ -400,7 +501,7 @@ def load_checkpoint(path) -> tuple:
     params = []
     pos = 0
     for shape in header["shapes"]:
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)
         end = pos + 4 * size
         if end > len(blob):
             raise ValueError(f"{path}: truncated checkpoint")

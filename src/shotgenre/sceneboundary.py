@@ -6,7 +6,9 @@ A sample is four consecutive shot features; the label says whether a scene
 boundary sits between the middle two shots. The classifier is an MLP
 (4*d - 4096 - 1024 - 2 by default, hidden sizes configurable for toy runs)
 with a softmax head trained with weighted cross-entropy, boundary weighted
-10:1 over non-boundary.
+10:1 over non-boundary. The loop is :func:`nn.fit` and the parameters go
+through :func:`nn.mlp_params` / :func:`nn.set_mlp_params`; this module
+supplies the samples, the loss and the validation AP.
 """
 
 import copy
@@ -131,59 +133,20 @@ class BoundaryTrainConfig:
 
 
 def _loss_and_grads(model: BoundaryModel, x, y, weights) -> tuple:
-    # The softmax lives in the network head; redo the last layer as logits so
-    # the weighted-CE grad (w * (softmax - onehot)) can flow back exactly.
-    hidden_net = nn.Mlp(model.mlp.layers[:-1], model.mlp.activations[:-1])
-    head = model.mlp.layers[-1]
-    h, cache_hidden = nn.mlp_forward(hidden_net, x) if hidden_net.layers else (x, None)
-    w = np.asarray(head.weights, dtype=np.float64)
-    b = np.asarray(head.bias, dtype=np.float64)
-    logits = h @ w.T + b
+    # The softmax lives in the network head; a linear-head view of the same
+    # layers gives the logits, so the weighted-CE grad flows back exactly.
+    logits_net = nn.Mlp(model.mlp.layers, model.mlp.activations[:-1] + ["linear"])
+    logits, cache = nn.mlp_forward(logits_net, x)
     loss, d_logits = nn.weighted_ce_loss(logits, y, weights)
-    dw_head = d_logits.T @ h
-    db_head = d_logits.sum(axis=0)
-    grads = []
-    if hidden_net.layers:
-        dh = d_logits @ w
-        g_hidden, _ = nn.backward(hidden_net, cache_hidden, dh)
-        for dwi, dbi in g_hidden:
-            grads += [dwi, dbi]
-    grads += [dw_head, db_head]
-    return loss, grads
-
-
-def _model_params(model: BoundaryModel) -> list:
-    arrays = []
-    for layer in model.mlp.layers:
-        arrays += [layer.weights, layer.bias]
-    return arrays
-
-
-def _set_params(model: BoundaryModel, arrays) -> None:
-    i = 0
-    for layer in model.mlp.layers:
-        layer.weights = np.asarray(arrays[i], dtype=np.float32)
-        layer.bias = np.asarray(arrays[i + 1], dtype=np.float32)
-        i += 2
+    grads, _ = nn.backward(logits_net, cache, d_logits)
+    return loss, [g for pair in grads for g in pair]
 
 
 def grad_check_closure(model: BoundaryModel, samples, class_weights=(10.0, 1.0)) -> tuple:
     """(loss_fn, x0) for :func:`nn.grad_check` over the weighted-CE loss."""
     clone = copy.deepcopy(model)
     x, y = _stack(list(samples))
-    x0, shapes = nn.flatten_arrays(_model_params(model))
-
-    def fn(vec):
-        arrays = nn.unflatten_vector(vec, shapes)
-        i = 0
-        for layer in clone.mlp.layers:
-            layer.weights = arrays[i]
-            layer.bias = arrays[i + 1]
-            i += 2
-        loss, grads = _loss_and_grads(clone, x, y, class_weights)
-        return loss, nn.flatten_arrays(grads)[0]
-
-    return fn, x0
+    return nn.grad_check_closure([clone.mlp], lambda: _loss_and_grads(clone, x, y, class_weights))
 
 
 def train_boundary(samples, config: BoundaryTrainConfig) -> tuple:
@@ -205,39 +168,19 @@ def train_boundary(samples, config: BoundaryTrainConfig) -> tuple:
         raise ValueError("degenerate train split: needs both boundary and non-boundary samples")
 
     model = make_boundary_model(d, hidden_dims=config.hidden_dims, seed=config.seed)
-    params = _model_params(model)
-    state = nn.init_adam(params, lr=config.max_lr)
-    rng_shuffle = spawn_rng(config.seed, "boundary/shuffle")
-    n = len(train_idx)
-    batches = (n + config.batch_size - 1) // config.batch_size
-    total_steps = config.epochs * batches
-    global_step = 0
-    history = []
-    best_ap = -1.0
-    best_params = [p.copy() for p in params]
 
-    for epoch in range(config.epochs):
-        order = train_idx[rng_shuffle.permutation(n)]
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            _set_params(model, params)
-            loss, grads = _loss_and_grads(model, x[idx], y[idx], config.class_weights)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"non-finite loss at epoch {epoch}, step {global_step}")
-            lr = nn.lr_schedule(global_step, total_steps, config.max_lr, config.warmup_frac)
-            params, state = nn.adam_step(params, grads, state, lr=lr)
-            global_step += 1
-            epoch_loss += loss * len(idx)
-        _set_params(model, params)
+    def batch_loss(idx):
+        rows = train_idx[idx]
+        return _loss_and_grads(model, x[rows], y[rows], config.class_weights)
+
+    def evaluate():
         val_scores, _ = nn.mlp_forward(model.mlp, x[val_idx])
-        val_ap = metrics.average_precision(val_scores[:, 1], y[val_idx])
-        history.append({"epoch": epoch, "train_loss": epoch_loss / n, "val_ap": val_ap})
-        if val_ap > best_ap:
-            best_ap = val_ap
-            best_params = [p.copy() for p in params]
+        return metrics.average_precision(val_scores[:, 1], y[val_idx])
 
-    _set_params(model, best_params)
+    history = nn.fit([model.mlp], len(train_idx), batch_loss, evaluate,
+                     epochs=config.epochs, batch_size=config.batch_size,
+                     max_lr=config.max_lr, warmup_frac=config.warmup_frac,
+                     rng=spawn_rng(config.seed, "boundary/shuffle"), score_name="val_ap")
     return model, history
 
 
@@ -257,7 +200,7 @@ def save_boundary_model(model: BoundaryModel, path) -> None:
         "feature_dim": model.feature_dim,
         "hidden_dims": list(model.hidden_dims),
     }
-    nn.save_checkpoint(path, header, _model_params(model))
+    nn.save_checkpoint(path, header, nn.mlp_params([model.mlp]))
 
 
 def load_boundary_model(path) -> BoundaryModel:
@@ -266,7 +209,7 @@ def load_boundary_model(path) -> BoundaryModel:
         raise ValueError(f"{path}: not a boundary checkpoint (kind={header.get('kind')!r})")
     model = make_boundary_model(int(header["feature_dim"]),
                                 hidden_dims=tuple(header["hidden_dims"]), seed=0)
-    _set_params(model, params)
+    nn.set_mlp_params([model.mlp], params)
     return model
 
 

@@ -197,6 +197,20 @@ class TestBoundaryCommands:
                     "--hidden", "4", "--seed", "0"]) == 1
 
 
+    def test_eval_short_checkpoint_exit_1(self, annotated, tmp_path, capsys):
+        from shotgenre import nn, sceneboundary as sb
+
+        _, path = annotated
+        model = sb.make_boundary_model(6, hidden_dims=(4,), seed=0)
+        params = [p for layer in model.mlp.layers for p in (layer.weights, layer.bias)]
+        ckpt = tmp_path / "short.ckpt"
+        nn.save_checkpoint(ckpt, {"kind": "scene-boundary", "feature_dim": 6,
+                                  "hidden_dims": [4]}, params[:-1])
+        assert run(["boundary-eval", "--data", str(path), "--model", str(ckpt),
+                    "--out", str(tmp_path / "e.json")]) == 1
+        assert "expected 4 parameter arrays, got 3" in capsys.readouterr().err
+
+
 class TestConfigAndErrors:
     def test_config_file_provides_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -243,6 +243,71 @@ class TestLrSchedule:
         assert all(b <= a + 1e-15 for a, b in zip(lrs[warmup:], lrs[warmup + 1:]))
 
 
+
+class TestMlpParams:
+    def test_installs_arrays_as_given(self):
+        nets = [make_net((3, 2), ["relu"]), make_net((2, 1), ["sigmoid"], seed=1)]
+        arrays = [a.astype(np.float64) + 1.0 for a in nn.mlp_params(nets)]
+        nn.set_mlp_params(nets, arrays)
+        got = nn.mlp_params(nets)
+        assert len(got) == 4
+        assert all(a is b for a, b in zip(got, arrays))
+
+    def test_wrong_count_rejected(self):
+        nets = [make_net((3, 2), ["relu"]), make_net((2, 1), ["sigmoid"])]
+        with pytest.raises(ValueError, match="expected 4 parameter arrays, got 3"):
+            nn.set_mlp_params(nets, nn.mlp_params(nets)[:3])
+
+    def test_wrong_shape_rejected(self):
+        nets = [make_net((3, 2), ["relu"]), make_net((2, 1), ["sigmoid"])]
+        arrays = nn.mlp_params(nets)
+        arrays[2] = np.zeros((1, 3), np.float32)
+        with pytest.raises(ValueError, match=r"layer 1: parameter shapes \(1, 3\)"):
+            nn.set_mlp_params(nets, arrays)
+
+
+class TestFit:
+    def _fit(self, net, batch_loss, evaluate, **kwargs):
+        return nn.fit([net], 3, batch_loss, evaluate, epochs=4, batch_size=2, max_lr=0.1,
+                      warmup_frac=0.0, rng=np.random.default_rng(0), score_name="val",
+                      **kwargs)
+
+    def test_nonfinite_loss_names_epoch_and_step(self):
+        from shotgenre import fusion
+
+        net = make_net((2, 1), ["linear"])
+        losses = iter([1.0, 1.0, np.nan])
+
+        def batch_loss(idx):
+            return next(losses), [np.zeros(p.shape) for p in nn.mlp_params([net])]
+
+        with pytest.raises(nn.TrainingDivergedError, match="epoch 1, step 2"):
+            self._fit(net, batch_loss, lambda: 0.0)
+        assert fusion.TrainingDivergedError is nn.TrainingDivergedError
+
+    def test_best_epoch_parameters_restored(self):
+        net = make_net((2, 1), ["linear"])
+        scores = iter([0.2, 0.9, 0.5, 0.1])
+        snapshots, begun, batches = [], [], []
+
+        def batch_loss(idx):
+            batches.append(sorted(idx))
+            return 1.0, [np.ones(p.shape) for p in nn.mlp_params([net])]
+
+        def evaluate():
+            snapshots.append([p.copy() for p in nn.mlp_params([net])])
+            return next(scores)
+
+        history = self._fit(net, batch_loss, evaluate, begin_epoch=begun.append)
+        assert history == [{"epoch": e, "train_loss": 1.0, "val": v}
+                           for e, v in enumerate([0.2, 0.9, 0.5, 0.1])]
+        assert begun == [0, 1, 2, 3]
+        assert [sorted(a + b) for a, b in zip(batches[::2], batches[1::2])] == [[0, 1, 2]] * 4
+        assert not np.array_equal(snapshots[1][0], snapshots[3][0])
+        for got, best in zip(nn.mlp_params([net]), snapshots[1]):
+            np.testing.assert_array_equal(got, best)
+
+
 class TestGradCheck:
     def test_quadratic(self):
         def fn(x):

@@ -92,6 +92,27 @@ class TestModel:
                                       sb.predict_boundary(loaded, samples))
 
 
+    def _save_raw(self, path, hidden_dims, params):
+        nn.save_checkpoint(path, {"kind": "scene-boundary", "feature_dim": 3,
+                                  "hidden_dims": list(hidden_dims)}, params)
+
+    def test_checkpoint_with_too_few_arrays_rejected(self, tmp_path):
+        model = sb.make_boundary_model(3, hidden_dims=(6, 4), seed=5)
+        path = tmp_path / "short.ckpt"
+        params = [p for layer in model.mlp.layers for p in (layer.weights, layer.bias)]
+        self._save_raw(path, (6, 4), params[:-2])
+        with pytest.raises(ValueError, match="expected 6 parameter arrays, got 4"):
+            sb.load_boundary_model(path)
+
+    def test_checkpoint_arrays_must_match_header_dims(self, tmp_path):
+        model = sb.make_boundary_model(3, hidden_dims=(8, 4), seed=5)
+        path = tmp_path / "wide.ckpt"
+        params = [p for layer in model.mlp.layers for p in (layer.weights, layer.bias)]
+        self._save_raw(path, (6, 4), params)
+        with pytest.raises(ValueError, match=r"layer 0: parameter shapes \(8, 12\)"):
+            sb.load_boundary_model(path)
+
+
 class TestSynthSequences:
     def test_deterministic(self):
         a, truth_a = sb.synth_boundary_sequences(num_sequences=3, seed=4)
