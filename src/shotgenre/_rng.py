@@ -10,7 +10,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["spawn_rng", "spawn_seed"]
+__all__ = ["spawn_rng"]
 
 
 def _label_words(label: str) -> list[int]:
@@ -23,8 +23,3 @@ def spawn_rng(seed: int, label: str) -> np.random.Generator:
     """Return a PCG64 generator keyed by ``(seed, label)``."""
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFF] + _label_words(label)))
 
-
-def spawn_seed(seed: int, label: str) -> int:
-    """Derive a child integer seed from ``(seed, label)``, for APIs that take seeds."""
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFF] + _label_words(label))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])

@@ -1,22 +1,21 @@
 """Shot and video feature aggregation (mean pooling) and the shot/frame
 sampling policy.
 
-Means are accumulated in 64-bit after sorting each coordinate's values, so
-they are bit-exactly invariant to input order; results are emitted as
-32-bit.
+Means sum each coordinate's sorted values left to right in 64-bit, so they
+are bit-exactly invariant to input order, whatever reduction loop numpy
+would pick; results are emitted as 32-bit.
 
 Sampling: a record with at most ``num_shots`` shots keeps all of them;
-otherwise "seeded-random" draws ``num_shots`` distinct shots from
-``default_rng(seed)`` (kept in temporal order) and "deterministic-uniform"
-takes evenly spaced shots. Frames are always picked by even spacing within
-a shot, duplicated when a shot is shorter than ``frames_per_shot``.
+otherwise "seeded-random" keeps the ``num_shots`` shots with the lowest
+uniform keys (in temporal order) and "deterministic-uniform" takes evenly
+spaced shots. Frames are always picked by even spacing within a shot,
+duplicated when a shot is shorter than ``frames_per_shot``.
 
 ``sample_shots`` + ``shot_feature`` + ``video_feature`` pool one record and
-are the reference. ``pooled_visual`` pools a whole record list, bit for bit
-equal to the reference, over the layout ``pack_records`` builds once: every
-frame in one contiguous float32 array, with per-shot frame offsets and counts
-and per-record shot offsets. It groups records by picked-shot count and
-gathers them in blocks of ``_BLOCK_RECORDS``.
+are the reference. ``pack_records`` pools each shot of a record list once,
+in blocks of ``_BLOCK_RECORDS`` records, into a float32 shot-feature matrix;
+``pooled_visual`` pools a whole split from it, drawing every key in one call
+on the generator it is given, bit for bit equal to the reference.
 """
 
 from dataclasses import dataclass
@@ -30,18 +29,18 @@ __all__ = ["shot_feature", "video_feature", "sample_shots", "even_indices",
 
 MODES = ("seeded-random", "deterministic-uniform")
 
-# Records gathered per batched step: bounds pooled_visual's temporaries to
-# _BLOCK_RECORDS * num_shots * frames_per_shot frame rows.
+# Records pooled per step of pack_records: bounds its temporaries to the
+# frames of _BLOCK_RECORDS records.
 _BLOCK_RECORDS = 128
 
 
 def _ordered_mean(rows: np.ndarray, axis: int = 0) -> np.ndarray:
-    # Sort each column before summing: permutations of the input rows then
+    # Sort each column, then sum left to right (accumulate is sequential,
+    # where sum() may go pairwise): permutations of the input rows then
     # reduce in the identical order, so the result is exactly permutation
-    # invariant (not just up to rounding). Widening float32 to float64 keeps
-    # the order, so the float32 rows are sorted first.
-    acc = np.sort(rows, axis=axis).astype(np.float64)
-    return (acc.sum(axis=axis) / rows.shape[axis]).astype(np.float32)
+    # invariant. Widening keeps the order, so the float32 rows sort first.
+    acc = np.add.accumulate(np.sort(rows, axis=axis).astype(np.float64), axis=axis)
+    return (np.take(acc, -1, axis=axis) / rows.shape[axis]).astype(np.float32)
 
 
 def shot_feature(shot) -> np.ndarray:
@@ -62,42 +61,52 @@ def video_feature(shot_features) -> np.ndarray:
     return _ordered_mean(rows)
 
 
+def _even(counts: np.ndarray, wanted: int) -> np.ndarray:
+    # (len(counts), wanted) evenly spaced indices into each of counts' items
+    return np.arange(wanted) * (counts[:, None] - 1) // max(wanted - 1, 1)
+
+
 def even_indices(available: int, wanted: int) -> list:
     """Evenly spaced indices ``floor(j*(available-1)/(wanted-1))``; duplicates
     appear when fewer than ``wanted`` items are available."""
     if available < 1 or wanted < 1:
         raise ValueError("even_indices requires positive counts")
-    if wanted == 1:
-        return [0]
-    return [(j * (available - 1)) // (wanted - 1) for j in range(wanted)]
+    return _even(np.array([available]), wanted)[0].tolist()
 
 
-def _shot_indices(n: int, num_shots: int, mode: str, seed: int) -> list:
-    """Indices of the shots a record of ``n`` shots contributes."""
+def _shot_indices(counts: np.ndarray, num_shots: int, mode: str, rng) -> np.ndarray:
+    """Indices of the shots each record contributes, in temporal order: row
+    ``i`` of the ``(N, min(max(counts), num_shots))`` result holds record
+    ``i``'s picks in its first ``min(counts[i], num_shots)`` columns.
+    "seeded-random" draws ``keys`` of shape ``(N, max(counts))`` from ``rng``
+    and keeps the lowest of ``keys[i, :counts[i]]``, ties to the earlier."""
     if mode not in MODES:
         raise ValueError(f"unknown sampling mode {mode!r}")
-    if n <= num_shots:
-        return list(range(n))
-    if mode == "seeded-random":
-        rng = np.random.default_rng(seed)
-        return sorted(rng.choice(n, size=num_shots, replace=False).tolist())
-    return even_indices(n, num_shots)
+    width = min(int(counts.max()), num_shots)
+    if mode == "deterministic-uniform":
+        return np.where(counts[:, None] > num_shots, _even(counts, width), np.arange(width))
+    if rng is None:
+        raise ValueError("seeded-random sampling needs a generator")
+    keys = rng.random((len(counts), int(counts.max())))
+    # padding keys sort last, so a short record keeps all of its shots
+    keys[np.arange(keys.shape[1]) >= counts[:, None]] = np.inf
+    return np.sort(np.argsort(keys, axis=1, kind="stable")[:, :width], axis=1)
 
 
 def sample_shots(record: VideoRecord, num_shots: int = 8, frames_per_shot: int = 3,
                  mode: str = "deterministic-uniform", seed: int = 0) -> list:
     """Subsample a record to ``num_shots`` shots of ``frames_per_shot`` frames.
 
-    mode "seeded-random": shots drawn without replacement from ``seed``
-    (returned in temporal order); "deterministic-uniform": evenly spaced shot
-    indices. Records with fewer shots return all of them. Frames are always
-    picked by even spacing within the shot.
+    mode "seeded-random": the shots with the lowest keys in
+    ``default_rng(seed).random(n)``, in temporal order; "deterministic-uniform":
+    evenly spaced shots. Records with fewer shots return all of them. Frames
+    are always picked by even spacing within the shot.
     """
     n = len(record.shots)
     if n == 0:
         raise ValueError(f"record {record.id}: cannot sample shots from an empty record")
     out = []
-    for i in _shot_indices(n, num_shots, mode, seed):
+    for i in _shot_indices(np.array([n]), num_shots, mode, np.random.default_rng(seed))[0].tolist():
         shot = record.shots[i]
         frame_idx = even_indices(shot.num_frames, frames_per_shot)
         stats = None
@@ -109,19 +118,19 @@ def sample_shots(record: VideoRecord, num_shots: int = 8, frames_per_shot: int =
 
 @dataclass(frozen=True)
 class PackedShots:
-    """The frames of a record list in one CSR-style ragged layout: record
-    ``i`` owns shots ``shot_start[i]:shot_start[i + 1]``, and shot ``s`` owns
-    rows ``frame_start[s]:frame_start[s] + frame_count[s]`` of ``frames``."""
+    """The pooled shots of a record list: record ``i`` owns rows
+    ``shot_start[i]:shot_start[i + 1]`` of ``shot_features``."""
 
-    frames: np.ndarray       # (total frames, d_v) float32
-    frame_start: np.ndarray  # (total shots,) int64
-    frame_count: np.ndarray  # (total shots,) int64
-    shot_start: np.ndarray   # (records + 1,) int64
+    shot_features: np.ndarray  # (total shots, d_v) float32
+    shot_start: np.ndarray     # (records + 1,) int64
 
 
-def pack_records(records) -> PackedShots:
-    """Pack the shots of ``records`` for :func:`pooled_visual`; every record
-    needs at least one shot and every shot at least one frame."""
+def pack_records(records, frames_per_shot: int = 3) -> PackedShots:
+    """Pool every shot of ``records`` once, from ``frames_per_shot`` evenly
+    spaced frames, for :func:`pooled_visual`. Every record needs at least one
+    shot and every shot at least one frame."""
+    if frames_per_shot < 1:
+        raise ValueError("frames_per_shot must be positive")
     shots, shot_start = [], [0]
     for rec in records:
         if not rec.shots:
@@ -130,42 +139,34 @@ def pack_records(records) -> PackedShots:
             raise ValueError(f"record {rec.id}: cannot sample frames from an empty shot")
         shots.extend(rec.shots)
         shot_start.append(len(shots))
-    frame_count = np.array([shot.num_frames for shot in shots], dtype=np.int64)
-    return PackedShots(frames=np.concatenate([shot.frames for shot in shots]),
-                       frame_start=np.cumsum(frame_count) - frame_count,
-                       frame_count=frame_count,
+    pooled = []
+    for lo in range(0, len(records), _BLOCK_RECORDS):
+        block = shots[shot_start[lo]:shot_start[min(lo + _BLOCK_RECORDS, len(records))]]
+        counts = np.array([shot.num_frames for shot in block], dtype=np.int64)
+        frame_ids = (np.cumsum(counts) - counts)[:, None] + _even(counts, frames_per_shot)
+        frames = np.concatenate([shot.frames for shot in block])[frame_ids]  # (shots, f, d)
+        pooled.append(_ordered_mean(frames, axis=1))
+    return PackedShots(shot_features=np.concatenate(pooled),
                        shot_start=np.array(shot_start, dtype=np.int64))
 
 
-def pooled_visual(packed: PackedShots, num_shots: int = 8, frames_per_shot: int = 3,
-                  mode: str = "deterministic-uniform", seeds=None) -> np.ndarray:
+def pooled_visual(packed: PackedShots, num_shots: int = 8,
+                  mode: str = "deterministic-uniform", rng=None) -> np.ndarray:
     """Pooled visual features of every packed record -> (N, d_v) float32.
 
+    "seeded-random" draws one ``(N, max shots)`` matrix of uniform keys from
+    ``rng``; record ``i`` keeps the shots with the lowest keys in row ``i``.
     Row ``i`` equals ``video_feature([shot_feature(s) for s in
-    sample_shots(record_i, num_shots, frames_per_shot, mode, seeds[i])])``
-    bit for bit; ``seeds`` (one per record) defaults to all zeros.
+    sample_shots(record_i, num_shots, frames_per_shot, mode, seed)])`` bit
+    for bit when row ``i`` starts with ``default_rng(seed).random(n)``.
     """
-    if num_shots < 1 or frames_per_shot < 1:
-        raise ValueError("num_shots and frames_per_shot must be positive")
-    starts = packed.shot_start[:-1].tolist()
-    seeds = [0] * len(starts) if seeds is None else [int(s) for s in seeds]
-    if len(seeds) != len(starts):
-        raise ValueError(f"{len(seeds)} seeds for {len(starts)} records")
+    if num_shots < 1:
+        raise ValueError("num_shots must be positive")
     counts = np.diff(packed.shot_start)
-    picked = [[start + j for j in _shot_indices(n, num_shots, mode, seed)]
-              for start, n, seed in zip(starts, counts.tolist(), seeds)]
-    # even_indices for every picked shot at once
-    steps = np.arange(frames_per_shot, dtype=np.int64)
-    divisor = max(frames_per_shot - 1, 1)
+    picks = packed.shot_start[:-1, None] + _shot_indices(counts, num_shots, mode, rng)
     picked_counts = np.minimum(counts, num_shots)
-    out = np.empty((len(picked), packed.frames.shape[1]), dtype=np.float32)
+    out = np.empty((len(counts), packed.shot_features.shape[1]), dtype=np.float32)
     for k in np.unique(picked_counts).tolist():
-        group = np.flatnonzero(picked_counts == k)
-        for lo in range(0, len(group), _BLOCK_RECORDS):
-            rows = group[lo:lo + _BLOCK_RECORDS]
-            shot_ids = np.array([picked[r] for r in rows], dtype=np.int64)         # (b, k)
-            last = packed.frame_count[shot_ids][..., None] - 1
-            frame_ids = packed.frame_start[shot_ids][..., None] + steps * last // divisor
-            frames = packed.frames[frame_ids]                                      # (b, k, f, d)
-            out[rows] = _ordered_mean(_ordered_mean(frames, axis=2), axis=1)
+        rows = np.flatnonzero(picked_counts == k)
+        out[rows] = _ordered_mean(packed.shot_features[picks[rows, :k]], axis=1)
     return out

@@ -202,16 +202,16 @@ def assemble_inputs(record: VideoRecord, embedding_table: EmbeddingTable = None,
                     frames_per_shot: int = 3, keywords_k: int = 20) -> dict:
     """Per-modality float32 feature vectors for one record.
 
-    Visual pools sampled shots (seeded-random from ``seed`` in train mode,
-    evenly spaced otherwise) through :func:`aggregate.pooled_visual`; audio
+    Visual pools sampled shots (seeded-random from ``default_rng(seed)`` in
+    train mode, evenly spaced otherwise) through :func:`aggregate.pooled_visual`; audio
     and language are row 0 of :func:`static_features`.
     """
     mods = canonical_modalities(modalities)
     out = {}
     if "visual" in mods:
         mode = "seeded-random" if train_mode else "deterministic-uniform"
-        out["visual"] = aggregate.pooled_visual(aggregate.pack_records([record]), num_shots,
-                                                frames_per_shot, mode, seeds=[seed])[0]
+        out["visual"] = aggregate.pooled_visual(aggregate.pack_records([record], frames_per_shot),
+                                                num_shots, mode, np.random.default_rng(seed))[0]
     for m, feats in static_features([record], mods, keywords_k, embedding_table).items():
         out[m] = feats[0]
     return out
@@ -400,9 +400,9 @@ def train(dataset: Dataset, config: TrainConfig, embedding_table: EmbeddingTable
     one {epoch, train_loss, val_macro_map} entry per epoch and the model
     carries the best-validation-mAP parameters.
 
-    The train split is packed once; each epoch (or only the first, without
-    ``resample_each_epoch``) pools it in one :func:`aggregate.pooled_visual`
-    call from one seeded-random shot draw per record.
+    Each train shot is pooled once by :func:`aggregate.pack_records`; each
+    epoch (or only the first, without ``resample_each_epoch``) draws the
+    split's shot picks from one generator in one :func:`aggregate.pooled_visual` call.
     """
     config.validate()
     mods = canonical_modalities(config.modalities)
@@ -432,20 +432,19 @@ def train(dataset: Dataset, config: TrainConfig, embedding_table: EmbeddingTable
     n = len(train_recs)
     feats = static_features(train_recs, mods, config.keywords_k, embedding_table)
     val_feats = static_features(val_recs, mods, config.keywords_k, embedding_table)
-    rng_shots = spawn_rng(config.seed, "fusion/shot-seeds")
+    rng_shots = spawn_rng(config.seed, "fusion/shots")
     rng_drop = spawn_rng(config.seed, "fusion/dropout")
 
     if "visual" in mods:
-        train_packed = aggregate.pack_records(train_recs)
-        val_feats["visual"] = aggregate.pooled_visual(aggregate.pack_records(val_recs),
-                                                      shots, frames)
+        train_packed = aggregate.pack_records(train_recs, frames)
+        val_feats["visual"] = aggregate.pooled_visual(aggregate.pack_records(val_recs, frames),
+                                                      shots)
 
     def begin_epoch(epoch):
-        # one seeded-random shot draw per record, every epoch or only the first
+        # one seeded-random shot draw for the split, every epoch or only the first
         if "visual" in mods and (config.resample_each_epoch or epoch == 0):
-            seeds = rng_shots.integers(0, 2 ** 63 - 1, size=n)
-            feats["visual"] = aggregate.pooled_visual(train_packed, shots, frames,
-                                                      "seeded-random", seeds)
+            feats["visual"] = aggregate.pooled_visual(train_packed, shots, "seeded-random",
+                                                      rng_shots)
 
     mask_names = ["trunk"] if model.strategy == "early" else list(mods)
     keep = 1.0 - config.dropout
@@ -483,8 +482,8 @@ def infer_dataset(model: GenreModel, records, embedding_table: EmbeddingTable = 
         raise ValueError("empty record set")
     feats = static_features(records, model.modalities, keywords_k, embedding_table)
     if "visual" in model.modalities:
-        feats["visual"] = aggregate.pooled_visual(aggregate.pack_records(records), num_shots,
-                                                  frames_per_shot)
+        feats["visual"] = aggregate.pooled_visual(aggregate.pack_records(records, frames_per_shot),
+                                                  num_shots)
     return metrics.PredictionSet(ids=[r.id for r in records], scores=predict(model, feats),
                                  genres=list(model.taxonomy.names))
 

@@ -94,12 +94,14 @@ def glorot_uniform(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.nd
 
 
 def make_mlp(dims, activations, rng: np.random.Generator) -> Mlp:
-    """Build an MLP with glorot-uniform weights and zero biases.
+    """Build an MLP with glorot-uniform weights and zero biases; with ``rng``
+    None the weights are zeros too, for parameters that are installed next.
 
     ``dims`` is (in, h1, ..., out); ``activations`` has one tag per layer.
     """
     layers = [
-        DenseLayer(glorot_uniform(dims[i + 1], dims[i], rng),
+        DenseLayer(np.zeros((dims[i + 1], dims[i]), dtype=np.float32) if rng is None
+                   else glorot_uniform(dims[i + 1], dims[i], rng),
                    np.zeros(dims[i + 1], dtype=np.float32))
         for i in range(len(dims) - 1)
     ]

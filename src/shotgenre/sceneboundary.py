@@ -98,7 +98,10 @@ class BoundaryModel:
 
 
 def make_boundary_model(feature_dim: int, hidden_dims=(4096, 1024), seed: int = 0) -> BoundaryModel:
-    rng = spawn_rng(seed, "boundary/init")
+    return _boundary_model(feature_dim, hidden_dims, spawn_rng(seed, "boundary/init"))
+
+
+def _boundary_model(feature_dim: int, hidden_dims, rng) -> BoundaryModel:
     dims = (WINDOW * feature_dim, *hidden_dims, 2)
     activations = ["relu"] * len(hidden_dims) + ["softmax"]
     return BoundaryModel(mlp=nn.make_mlp(dims, activations, rng),
@@ -207,8 +210,8 @@ def load_boundary_model(path) -> BoundaryModel:
     header, params = nn.load_checkpoint(path)
     if header.get("kind") != "scene-boundary":
         raise ValueError(f"{path}: not a boundary checkpoint (kind={header.get('kind')!r})")
-    model = make_boundary_model(int(header["feature_dim"]),
-                                hidden_dims=tuple(header["hidden_dims"]), seed=0)
+    # zero-weight layers of the header's shape take the checkpoint arrays
+    model = _boundary_model(int(header["feature_dim"]), tuple(header["hidden_dims"]), None)
     nn.set_mlp_params([model.mlp], params)
     return model
 

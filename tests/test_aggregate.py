@@ -169,6 +169,21 @@ def ragged_records(draw):
     return records
 
 
+class _KeyRows:
+    """Stands in for the generator ``pooled_visual`` draws its keys from:
+    row ``i`` is ``default_rng(seeds[i]).random(width)``, whose first ``n``
+    keys are the ones ``sample_shots`` draws for a record of ``n`` shots
+    from ``seeds[i]``."""
+
+    def __init__(self, seeds):
+        self.seeds = seeds
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return np.stack([np.random.default_rng(int(s)).random(size[1]) for s in self.seeds])
+
+
 class TestPooledVisual:
     @settings(max_examples=150, deadline=None)
     @given(records=ragged_records(), num_shots=st.integers(1, 16),
@@ -181,17 +196,49 @@ class TestPooledVisual:
                            sample_shots(r, num_shots, frames_per_shot, mode, int(k))])
             for r, k in zip(records, seeds)
         ])
-        # a block of two records makes most groups span several blocks
+        # a block of two records makes most record lists span several blocks
         with mock.patch.object(aggregate, "_BLOCK_RECORDS", 2):
-            got = pooled_visual(pack_records(records), num_shots, frames_per_shot, mode, seeds)
+            packed = pack_records(records, frames_per_shot)
+        got = pooled_visual(packed, num_shots, mode, _KeyRows(seeds))
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, expect)
 
-    def test_default_seeds_are_zero(self):
-        rec = _record(20)
-        got = pooled_visual(pack_records([rec]), mode="seeded-random")
-        expect = video_feature([shot_feature(s) for s in sample_shots(rec, mode="seeded-random")])
-        np.testing.assert_array_equal(got[0], expect)
+    def test_seeded_random_requires_rng(self):
+        with pytest.raises(ValueError, match="generator"):
+            pooled_visual(pack_records([_record(20)]), mode="seeded-random")
+
+    def test_draws_one_key_row_per_record(self):
+        keys = _KeyRows([4, 5, 6])
+        records = [_record(3), _record(12), _record(7)]
+        pooled_visual(pack_records(records), num_shots=8, mode="seeded-random", rng=keys)
+        assert keys.sizes == [(3, 12)]
+        pooled_visual(pack_records(records), num_shots=8, rng=keys)
+        assert keys.sizes == [(3, 12)]
+
+    def test_each_shot_kept_at_rate_num_shots_over_shots(self):
+        # shot j of every copy is the unit vector e_j, so 8 * a pooled row
+        # marks the picked shots; 20k draws of 8 of 10 shots pick each shot
+        # with frequency 0.8 (binomial sd 0.0028; tolerance 0.01 is 3.5 sd)
+        shots = [Shot(np.eye(10, dtype=np.float32)[j:j + 1]) for j in range(10)]
+        rec = VideoRecord("r", "train", set(), shots, np.zeros(3, np.float32), [])
+        packed = pack_records([rec] * 20_000, frames_per_shot=1)
+        picked = 8 * pooled_visual(packed, num_shots=8, mode="seeded-random",
+                                   rng=np.random.default_rng(2024))
+        np.testing.assert_array_equal(picked.sum(axis=1), 8)
+        np.testing.assert_allclose(picked.mean(axis=0), 0.8, atol=0.01)
+
+    def test_width_one_sums_left_to_right(self):
+        # numpy's sum adds 8 or more contiguous values pairwise, which here
+        # keeps 10 of the 14 ones that a left-to-right sum loses to rounding
+        # at 2**54; every path must sum left to right and give mean 0
+        column = np.array([-2.0 ** 54] + [1.0] * 14 + [2.0 ** 54], dtype=np.float32)[:, None]
+        one_frame_shots = VideoRecord("s", "train", set(), [Shot(r[None]) for r in column],
+                                      np.zeros(1, np.float32), [])
+        one_shot = VideoRecord("f", "train", set(), [Shot(column)], np.zeros(1, np.float32), [])
+        assert video_feature(column)[0] == 0.0
+        assert shot_feature(column)[0] == 0.0
+        assert pooled_visual(pack_records([one_frame_shots], 1), num_shots=16)[0, 0] == 0.0
+        assert pooled_visual(pack_records([one_shot], 16), num_shots=1)[0, 0] == 0.0
 
     def test_empty_record_named(self):
         empty = VideoRecord("blank", "train", set(), [], np.zeros(3, np.float32), [])
@@ -203,10 +250,6 @@ class TestPooledVisual:
                           np.zeros(3, np.float32), [])
         with pytest.raises(ValueError, match="record nof"):
             pack_records([rec])
-
-    def test_seed_count_checked(self):
-        with pytest.raises(ValueError, match="seeds"):
-            pooled_visual(pack_records([_record(3)]), seeds=[1, 2])
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):

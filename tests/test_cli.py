@@ -53,6 +53,23 @@ def test_train_then_eval(workdir, tmp_path):
     assert "macro" in report and "micro" in report
 
 
+@pytest.mark.parametrize("shots, frames", [(10, 4), (3, 1)])
+def test_train_seed_repeat_byte_identical(tmp_path, shots, frames):
+    # 8 shots of 3 frames are requested: 10x4 records draw a random subset,
+    # 3x1 records keep every shot and duplicate its frame
+    data = tmp_path / "d.jsonl"
+    assert run(["synth", "--out", str(data), "--videos", "30", "--genres", "3",
+                "--d-v", "4", "--d-a", "4", "--d-l", "4", "--shots", str(shots),
+                "--frames", str(frames), "--seed", "5"]) == 0
+    outs = []
+    for name in ("a", "b"):
+        model = tmp_path / f"{name}.ckpt"
+        assert run(["train", "--data", str(data), "--out", str(model), "--epochs", "3",
+                    "--d-h", "8", "--shots", "8", "--frames", "3", "--seed", "2"]) == 0
+        outs.append((model.read_bytes(), (tmp_path / f"{name}.ckpt.history.csv").read_bytes()))
+    assert outs[0] == outs[1]
+
+
 def test_eval_dim_mismatch_exit_1(workdir, tmp_path, capsys):
     root, data, model = workdir
     other = tmp_path / "other.jsonl"
