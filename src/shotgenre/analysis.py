@@ -71,28 +71,32 @@ def window_starts(num_shots: int, window: int, stride: int) -> list:
 def sliding_window(record: VideoRecord, model: fusion.GenreModel,
                    embedding_table=None, window: int = 8, stride: int = 4,
                    keywords_k: int = 20) -> WindowLabeling:
-    """Label a long video window by window.
+    """Label a long video window by window, in one batched :func:`fusion.predict`.
 
-    The visual feature is the mean shot feature over each window. Audio and
-    language have no per-window slices in the record format, so the record's
-    global embedding / transcript is reused for every window when the model
-    needs those modalities (visual-only models need nothing extra).
+    The visual feature is the mean shot feature over each window, pooled once
+    per distinct window length. Audio and language have no per-window slices
+    in the record format, so the record's global embedding / transcript is
+    reused for every window when the model needs those modalities
+    (visual-only models need nothing extra).
     """
     if len(record.shots) == 0:
         raise ValueError(f"record {record.id} has no shots")
-    shot_feats = np.stack([aggregate.shot_feature(s) for s in record.shots])
-    reused = {m: feats[0] for m, feats in fusion.static_features(
-        [record], model.modalities, keywords_k, embedding_table).items()}
-
-    windows = []
-    for start, end in window_starts(len(record.shots), window, stride):
-        inputs = dict(reused)
-        if "visual" in model.modalities:
-            inputs["visual"] = aggregate.video_feature(shot_feats[start:end])
-        scores = fusion.predict(model, inputs)
-        windows.append(WindowScore(start=start, end=end, scores=scores))
-    return WindowLabeling(windows=windows, taxonomy=model.taxonomy,
-                          window=window, stride=stride)
+    spans = window_starts(len(record.shots), window, stride)
+    starts, ends = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    inputs = {m: np.broadcast_to(feats, (len(spans), feats.shape[1]))
+              for m, feats in fusion.static_features(
+                  [record], model.modalities, keywords_k, embedding_table).items()}
+    if "visual" in model.modalities:
+        shot_feats = np.stack([aggregate.shot_feature(s) for s in record.shots])
+        inputs["visual"] = np.empty((len(spans), shot_feats.shape[1]), dtype=np.float32)
+        for k in np.unique(ends - starts).tolist():
+            rows = np.flatnonzero(ends - starts == k)
+            inputs["visual"][rows] = aggregate._ordered_mean(
+                shot_feats[starts[rows, None] + np.arange(k)], axis=1)
+    scores = fusion.predict(model, inputs)
+    return WindowLabeling(windows=[WindowScore(start=start, end=end, scores=row)
+                                   for (start, end), row in zip(spans, scores)],
+                          taxonomy=model.taxonomy, window=window, stride=stride)
 
 
 def retrieve_shots(labeling: WindowLabeling, genre: str, top_k: int) -> list:

@@ -505,12 +505,16 @@ def _cmd_pixstats(v: dict, threads: int) -> tuple:
     return out, [out]
 
 
+def _boundary_samples(records) -> list:
+    """Boundary samples of every annotated record with at least one window."""
+    return [sample for rec in records
+            if rec.boundary_flags is not None and len(rec.shots) >= sceneboundary.WINDOW
+            for sample in sceneboundary.samples_from_record(rec)]
+
+
 def _cmd_boundary_train(v: dict, threads: int) -> tuple:
     dataset = read_dataset(v["data"])
-    samples = []
-    for rec in dataset.split("train"):
-        if rec.boundary_flags is not None and len(rec.shots) >= sceneboundary.WINDOW:
-            samples.extend(sceneboundary.samples_from_record(rec))
+    samples = _boundary_samples(dataset.split("train"))
     if not samples:
         raise ValueError("no annotated records (boundary_flags) in split 'train'")
     config = sceneboundary.BoundaryTrainConfig(
@@ -542,10 +546,7 @@ def _cmd_boundary_eval(v: dict, threads: int) -> tuple:
             f"dataset provides {dataset.d_v}"
         )
     records = dataset.records if v["split"] is None else dataset.split(v["split"])
-    samples = []
-    for rec in records:
-        if rec.boundary_flags is not None and len(rec.shots) >= sceneboundary.WINDOW:
-            samples.extend(sceneboundary.samples_from_record(rec))
+    samples = _boundary_samples(records)
     if not samples:
         raise ValueError("no annotated records to evaluate")
     result = sceneboundary.eval_boundary(model, samples)

@@ -217,20 +217,6 @@ def assemble_inputs(record: VideoRecord, embedding_table: EmbeddingTable = None,
     return out
 
 
-def _as_batch(inputs: dict, modalities) -> tuple:
-    mats = {}
-    was_1d = None
-    for m in modalities:
-        x = np.asarray(inputs[m], dtype=np.float64)
-        one = x.ndim == 1
-        if was_1d is None:
-            was_1d = one
-        elif was_1d != one:
-            raise ValueError("mixed single/batch modality inputs")
-        mats[m] = x.reshape(1, -1) if one else x
-    return mats, bool(was_1d)
-
-
 # ---------------------------------------------------------------------------
 # forward / backward
 # ---------------------------------------------------------------------------
@@ -240,28 +226,29 @@ def _forward(model: GenreModel, inputs: dict, masks: dict = None) -> dict:
 
     Returns rho, the auxiliary per-modality probabilities (empty for early),
     and the caches needed for the backward pass. ``masks`` optionally holds
-    inverted-dropout masks applied to each hidden activation. All internal
-    tensors are batched 2-D; single-vector inputs get their shape back in
-    rho/aux only.
+    inverted-dropout masks applied to each hidden activation. Every tensor
+    keeps the inputs' leading shape: single (d,) vectors give (G,) outputs,
+    (B, d) batches give (B, G).
     """
     missing = [m for m in model.modalities if m not in inputs]
     if missing:
         raise ValueError(f"missing modality inputs {missing} for strategy {model.strategy}")
-    mats, was_1d = _as_batch(inputs, model.modalities)
+    mats = {m: np.asarray(inputs[m]) for m in model.modalities}
+    if len({x.ndim for x in mats.values()}) > 1:
+        raise ValueError("mixed single/batch modality inputs")
     for m in model.modalities:
-        if mats[m].shape[1] != model.input_dims[m]:
+        if mats[m].shape[-1] != model.input_dims[m]:
             raise ValueError(
-                f"{m} input dim {mats[m].shape[1]} != model dim {model.input_dims[m]}"
+                f"{m} input dim {mats[m].shape[-1]} != model dim {model.input_dims[m]}"
             )
-    squeeze = (lambda a: a[0]) if was_1d else (lambda a: a)
-    ctx = {"was_1d": was_1d}
+    ctx = {}
     if model.strategy == "early":
-        x = np.concatenate([mats[m] for m in model.modalities], axis=1)
+        x = np.concatenate([mats[m] for m in model.modalities], axis=-1)
         z, ctx["cache_hidden"] = nn.mlp_forward(model.trunk.hidden, x)
         if masks:
             z = z * masks["trunk"]
         rho, ctx["cache_head"] = nn.mlp_forward(model.trunk.head, z)
-        return {"rho": squeeze(rho), "aux": {}, "ctx": ctx}
+        return {"rho": rho, "aux": {}, "ctx": ctx}
 
     aux = {}
     hidden = {}
@@ -276,14 +263,14 @@ def _forward(model: GenreModel, inputs: dict, masks: dict = None) -> dict:
         aux[m] = rho_m
         ctx["branch"][m] = {"cache_hidden": cache_h, "cache_head": cache_head}
     if model.strategy == "intermediate":
-        zcat = np.concatenate([hidden[m] for m in model.modalities], axis=1)
+        zcat = np.concatenate([hidden[m] for m in model.modalities], axis=-1)
         rho, ctx["cache_joint"] = nn.mlp_forward(model.joint, zcat)
     else:
         # late fusion averages the branch probabilities as reported at the
         # 32-bit boundary, so predict() IS the mean of branch_predictions()
         rho = np.mean([aux[m].astype(np.float32).astype(np.float64)
                        for m in model.modalities], axis=0)
-    return {"rho": squeeze(rho), "aux": {m: squeeze(a) for m, a in aux.items()}, "ctx": ctx}
+    return {"rho": rho, "aux": aux, "ctx": ctx}
 
 
 def predict(model: GenreModel, inputs: dict) -> np.ndarray:
@@ -308,22 +295,14 @@ def training_loss(model: GenreModel, inputs: dict, labels) -> float:
 def _loss_from_forward(model: GenreModel, fwd: dict, labels) -> tuple:
     y = np.asarray(labels, dtype=np.float64)
     rho = fwd["rho"]
-    if y.shape != np.shape(rho):
-        raise ValueError(f"labels shape {y.shape} != predictions shape {np.shape(rho)}")
-    parts = {}
-    if model.strategy == "early":
-        loss, d_rho = nn.bce_loss(rho, y)
-        parts["rho"] = d_rho
-        return loss, parts
-    total = 0.0
-    if model.strategy == "intermediate":
-        joint_loss, d_rho = nn.bce_loss(rho, y)
-        total += joint_loss
-        parts["rho"] = d_rho
-    for m in model.modalities:
-        aux_loss, d_aux = nn.bce_loss(fwd["aux"][m], y)
+    if y.shape != rho.shape:
+        raise ValueError(f"labels shape {y.shape} != predictions shape {rho.shape}")
+    total, parts = 0.0, {}
+    if model.strategy != "late":
+        total, parts["rho"] = nn.bce_loss(rho, y)
+    for m, aux in fwd["aux"].items():  # empty for early
+        aux_loss, parts[m] = nn.bce_loss(aux, y)
         total += aux_loss
-        parts[m] = d_aux
     return total, parts
 
 
@@ -333,43 +312,32 @@ def loss_and_grads(model: GenreModel, inputs: dict, labels, masks: dict = None) 
     fwd = _forward(model, inputs, masks=masks)
     loss, d_parts = _loss_from_forward(model, fwd, labels)
     ctx = fwd["ctx"]
-    # caches are always batched internally; lift squeezed gradients back to 2-D
-    up = (lambda a: np.asarray(a).reshape(1, -1)) if ctx["was_1d"] else (lambda a: a)
-    grads = []
     if model.strategy == "early":
-        g_head, dz = nn.backward(model.trunk.head, ctx["cache_head"], up(d_parts["rho"]))
+        g_head, dz = nn.backward(model.trunk.head, ctx["cache_head"], d_parts["rho"])
         if masks:
             dz = dz * masks["trunk"]
         g_hidden, _ = nn.backward(model.trunk.hidden, ctx["cache_hidden"], dz)
-        for dw, db in g_hidden + g_head:
-            grads += [dw, db]
-        return loss, grads
+        return loss, [g for pair in g_hidden + g_head for g in pair]
 
-    d_hidden = {}
-    branch_grads = {}
+    d_hidden, head_grads = {}, {}
     for m in model.modalities:
-        g_head, dz = nn.backward(model.branches[m].head,
-                                 ctx["branch"][m]["cache_head"], up(d_parts[m]))
-        d_hidden[m] = dz
-        branch_grads[m] = {"head": g_head}
+        head_grads[m], d_hidden[m] = nn.backward(model.branches[m].head,
+                                                 ctx["branch"][m]["cache_head"], d_parts[m])
     if model.strategy == "intermediate":
-        g_joint, d_zcat = nn.backward(model.joint, ctx["cache_joint"], up(d_parts["rho"]))
+        g_joint, d_zcat = nn.backward(model.joint, ctx["cache_joint"], d_parts["rho"])
         for i, m in enumerate(model.modalities):
-            d_hidden[m] = d_hidden[m] + d_zcat[:, i * model.d_h:(i + 1) * model.d_h]
+            d_hidden[m] = d_hidden[m] + d_zcat[..., i * model.d_h:(i + 1) * model.d_h]
+    pairs = []
     for m in model.modalities:
         dz = d_hidden[m]
         if masks and m in masks:
             dz = dz * masks[m]
         g_hidden, _ = nn.backward(model.branches[m].hidden,
                                   ctx["branch"][m]["cache_hidden"], dz)
-        branch_grads[m]["hidden"] = g_hidden
-    for m in model.modalities:
-        for dw, db in branch_grads[m]["hidden"] + branch_grads[m]["head"]:
-            grads += [dw, db]
+        pairs += g_hidden + head_grads[m]
     if model.strategy == "intermediate":
-        for dw, db in g_joint:
-            grads += [dw, db]
-    return loss, grads
+        pairs += g_joint
+    return loss, [g for pair in pairs for g in pair]
 
 
 def grad_check_closure(model: GenreModel, inputs: dict, labels) -> tuple:

@@ -4,6 +4,8 @@ gradients, the training loop, and a finite-difference gradient checker.
 Parameters are stored as 32-bit arrays; all arithmetic (forward, backward,
 optimizer) runs in 64-bit so gradient checks are meaningful at rtol 1e-4.
 Only the MLP shapes this package needs are supported - no general autodiff.
+Forward and backward run over the last axis, so a (d,) vector and a (B, d)
+batch take one path; a forward cache is the list of layer inputs plus output.
 
 A model is a list of MLPs. For the fusion and scene-boundary models alike,
 :func:`mlp_params` / :func:`set_mlp_params` get and install its parameters,
@@ -146,63 +148,54 @@ def _apply_activation(act: str, z: np.ndarray) -> np.ndarray:
 
 
 def mlp_forward(mlp: Mlp, x) -> tuple:
-    """Run the net; returns (output, cache) with the cache holding every
-    layer input, pre-activation and activation needed by :func:`backward`.
+    """Run the net over the last axis of ``x``: a (d,) vector, a (B, d) batch
+    or any (..., d) stack gives an output of the same leading shape.
 
-    Accepts a single (d,) vector or a (B, d) batch; output matches.
+    Returns ``(output, cache)``; the cache for :func:`backward` is the list
+    ``[x, a1, ..., aL]`` of each layer's float64 input plus the final output.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    was_1d = arr.ndim == 1
-    if was_1d:
-        arr = arr.reshape(1, -1)
-    if arr.shape[1] != mlp.in_dim:
-        raise ValueError(f"input dim {arr.shape[1]} != expected {mlp.in_dim}")
-    steps = []
-    a = arr
+    a = np.asarray(x, dtype=np.float64)
+    if a.shape[-1] != mlp.in_dim:
+        raise ValueError(f"input dim {a.shape[-1]} != expected {mlp.in_dim}")
+    cache = [a]
     for layer, act in zip(mlp.layers, mlp.activations):
         w = np.asarray(layer.weights, dtype=np.float64)
         b = np.asarray(layer.bias, dtype=np.float64)
-        z = a @ w.T + b
-        a_next = _apply_activation(act, z)
-        steps.append({"x": a, "z": z, "a": a_next})
-        a = a_next
-    cache = {"steps": steps, "was_1d": was_1d}
-    return (a[0] if was_1d else a), cache
+        a = _apply_activation(act, a @ w.T + b)
+        cache.append(a)
+    return a, cache
 
 
 def backward(mlp: Mlp, cache, upstream) -> tuple:
     """Reverse-mode gradients for every layer.
 
-    Returns ``(grads, dx)`` where grads is a list of (dW, db) float64 pairs in
-    layer order and dx is the gradient with respect to the network input.
-    ReLU uses the zero subgradient at exactly 0.
+    ``cache`` is the :func:`mlp_forward` list of layer inputs and output;
+    ``upstream`` has the output's shape. Returns ``(grads, dx)`` where grads
+    is a list of (dW, db) float64 pairs in layer order, summed over every
+    leading axis, and dx is the gradient with respect to the network input,
+    in its shape. ReLU masks on its output ``a > 0``, which is the zero
+    subgradient at exactly 0.
     """
-    steps = cache["steps"]
-    if len(steps) != len(mlp.layers):
+    if len(cache) != len(mlp.layers) + 1:
         raise ValueError("cache does not match this network")
     da = np.asarray(upstream, dtype=np.float64)
-    if cache["was_1d"]:
-        da = da.reshape(1, -1)
     grads = [None] * len(mlp.layers)
     for i in range(len(mlp.layers) - 1, -1, -1):
-        layer, act, step = mlp.layers[i], mlp.activations[i], steps[i]
-        if da.shape != step["a"].shape:
-            raise ValueError(f"upstream shape {da.shape} != layer output {step['a'].shape}")
+        layer, act, x, a = mlp.layers[i], mlp.activations[i], cache[i], cache[i + 1]
+        if da.shape != a.shape:
+            raise ValueError(f"upstream shape {da.shape} != layer output {a.shape}")
         if act == "relu":
-            dz = da * (step["z"] > 0)
+            dz = da * (a > 0)
         elif act == "sigmoid":
-            dz = da * step["a"] * (1.0 - step["a"])
+            dz = da * a * (1.0 - a)
         elif act == "softmax":
-            s = step["a"]
-            dz = s * (da - (da * s).sum(axis=-1, keepdims=True))
+            dz = a * (da - (da * a).sum(axis=-1, keepdims=True))
         else:
             dz = da
-        dw = dz.T @ step["x"]
-        db = dz.sum(axis=0)
-        grads[i] = (dw, db)
+        dz2 = dz.reshape(-1, dz.shape[-1])
+        grads[i] = (dz2.T @ x.reshape(-1, x.shape[-1]), dz2.sum(axis=0))
         da = dz @ np.asarray(layer.weights, dtype=np.float64)
-    dx = da[0] if cache["was_1d"] else da
-    return grads, dx
+    return grads, da
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +224,26 @@ def bce_loss(probs, labels, eps: float = PROB_EPS) -> tuple:
 def weighted_ce_loss(logits, labels, class_weights=(10.0, 1.0)) -> tuple:
     """Softmax cross-entropy with a per-class weight on each sample's loss.
 
-    ``class_weights`` is (weight for label 1, weight for label 0). Returns
-    ``(loss, dloss/dlogits)``, averaging over the batch when 2-D input is
-    given.
+    ``class_weights`` is (weight for label 1, weight for label 0). ``logits``
+    is (..., 2) with one label per row. Returns ``(loss, dloss/dlogits)``,
+    averaging over the rows; the gradient has the shape of ``logits``.
     """
     z = np.asarray(logits, dtype=np.float64)
-    was_1d = z.ndim == 1
-    if was_1d:
-        z = z.reshape(1, -1)
-    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if z.shape[0] != y.shape[0] or z.shape[1] != 2:
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if z.shape[-1:] != (2,) or z.size != 2 * y.size:
         raise ValueError(f"expected (B,2) logits and (B,) labels, got {z.shape}, {y.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite logits")
     w_pos, w_neg = float(class_weights[0]), float(class_weights[1])
     w = np.where(y == 1, w_pos, w_neg)
-    sm = _apply_activation("softmax", z)
-    b = z.shape[0]
+    sm = _apply_activation("softmax", z.reshape(-1, 2))
+    b = sm.shape[0]
     picked = np.clip(sm[np.arange(b), y], PROB_EPS, None)
     loss = float(np.sum(w * -np.log(picked))) / b
     onehot = np.zeros_like(sm)
     onehot[np.arange(b), y] = 1.0
     grad = w[:, None] * (sm - onehot) / b
-    return loss, (grad[0] if was_1d else grad)
+    return loss, grad.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import oracle_window_spans
-from shotgenre import analysis, fusion
+from shotgenre import aggregate, analysis, fusion
 from shotgenre.featurestore import (
-    Dataset, GenreTaxonomy, PixelStats, Shot, VideoRecord,
+    Dataset, EmbeddingTable, GenreTaxonomy, PixelStats, Shot, Token, VideoRecord,
 )
 
 
@@ -88,6 +88,36 @@ class TestSlidingWindow:
         rec = make_record(6)
         labeling = analysis.sliding_window(rec, visual_model(), window=1, stride=1)
         assert [(w.start, w.end) for w in labeling.windows] == [(i, i + 1) for i in range(6)]
+
+    @pytest.mark.parametrize("window,stride,spans", [
+        (8, 4, [(0, 8), (4, 11)]),  # one full and one 7-shot trailing window
+        (1, 1, [(i, i + 1) for i in range(11)]),
+    ])
+    @pytest.mark.parametrize("strategy", fusion.STRATEGIES)
+    def test_batched_rows_equal_per_window_predict(self, strategy, window, stride, spans):
+        rng = np.random.default_rng(11)
+        table = EmbeddingTable(dim=3, vectors={w: rng.normal(size=3).astype(np.float32)
+                                               for w in ("sea", "ship", "storm")})
+        shots = [Shot(rng.normal(size=(int(rng.integers(1, 5)), 4)).astype(np.float32))
+                 for _ in range(11)]
+        rec = VideoRecord("long", "test", set(), shots, rng.normal(size=2).astype(np.float32),
+                          [Token("sea", "NOUN"), Token("storm", "NOUN"), Token("ship", "NOUN")])
+        model = fusion.make_genre_model(strategy, fusion.MODALITIES,
+                                        GenreTaxonomy(("A", "B", "C")),
+                                        {"visual": 4, "audio": 2, "language": 3}, d_h=5, seed=6)
+        labeling = analysis.sliding_window(rec, model, table, window=window, stride=stride)
+        assert [(w.start, w.end) for w in labeling.windows] == spans
+        static = fusion.assemble_inputs(rec, table, modalities=("audio", "language"))
+        for w in labeling.windows:
+            visual = aggregate.video_feature(
+                [aggregate.shot_feature(s) for s in rec.shots[w.start:w.end]])
+            expect = fusion.predict(model, dict(static, visual=visual))
+            assert w.scores.dtype == np.float32
+            np.testing.assert_array_equal(w.scores, expect)
+
+    def test_too_short_record_has_no_windows(self):
+        labeling = analysis.sliding_window(make_record(3), visual_model(), window=8, stride=4)
+        assert labeling.windows == []
 
 
 class TestRetrieveShots:

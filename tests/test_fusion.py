@@ -168,6 +168,31 @@ class TestTrainingLoss:
                 worst = max(worst, nn.grad_check(fn, x0).max_rel_error)
             assert worst < 1e-4, f"{strategy}: {worst}"
 
+    @pytest.mark.parametrize("strategy", fusion.STRATEGIES)
+    def test_single_vector_equals_one_row_batch(self, strategy):
+        model = toy_model(strategy, seed=8)
+        rng = np.random.default_rng(31)
+        inputs = {m: x.astype(np.float32) for m, x in toy_inputs(rng).items()}
+        labels = rng.integers(0, 2, size=4).astype(float)
+        batch = {m: x[None] for m, x in inputs.items()}
+        loss, grads = fusion.loss_and_grads(model, inputs, labels)
+        batch_loss, batch_grads = fusion.loss_and_grads(model, batch, labels[None])
+        assert loss == batch_loss
+        assert len(grads) == len(batch_grads) == len(fusion.model_params(model))
+        for g, bg, p in zip(grads, batch_grads, fusion.model_params(model)):
+            assert g.shape == bg.shape == p.shape
+            np.testing.assert_array_equal(g, bg)
+        rho = fusion.predict(model, inputs)
+        assert rho.shape == (4,)
+        np.testing.assert_array_equal(rho, fusion.predict(model, batch)[0])
+
+    def test_mixed_single_and_batch_rejected(self):
+        model = toy_model("late")
+        inputs = toy_inputs(np.random.default_rng(6))
+        inputs["audio"] = inputs["audio"][None]
+        with pytest.raises(ValueError, match="mixed single/batch"):
+            fusion.predict(model, inputs)
+
 
 class TestTrain:
     def test_zero_epochs_returns_initialized(self, planted):

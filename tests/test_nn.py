@@ -144,6 +144,17 @@ class TestWeightedCeLoss:
         with pytest.raises(ValueError):
             nn.weighted_ce_loss(np.array([np.inf, 0.0]), 1)
 
+    def test_one_label_per_row_whatever_the_shapes(self):
+        logits = np.random.default_rng(11).normal(size=(3, 2))
+        labels = np.array([1, 0, 1])
+        loss, grad = nn.weighted_ce_loss(logits, labels)
+        for z, y in ((logits, labels[:, None]), (logits[None], labels[None])):
+            got, g = nn.weighted_ce_loss(z, y)
+            assert got == loss and g.shape == z.shape
+            np.testing.assert_array_equal(g.reshape(3, 2), grad)
+        with pytest.raises(ValueError, match="expected"):
+            nn.weighted_ce_loss(logits, labels[:2])
+
 
 class TestBackward:
     def _loss_closure(self, net, x, y):
@@ -196,6 +207,46 @@ class TestBackward:
         grads, _ = nn.backward(net, cache, up)
         np.testing.assert_allclose(grads[0][0], np.outer(up, x), rtol=1e-15)
         np.testing.assert_allclose(grads[0][1], up, rtol=1e-15)
+
+    def test_relu_at_exactly_zero_passes_no_gradient(self):
+        w = np.array([[1.0, 0.0], [2.0, 1.0]], np.float32)
+        b = np.array([-0.5, 0.0], np.float32)
+        net = nn.Mlp([nn.DenseLayer(w, b)], ["relu"])
+        x = np.array([0.5, 0.5])
+        _, cache = nn.mlp_forward(net, x)
+        # unit 0's pre-activation is exactly 0.0, unit 1's is 1.5
+        np.testing.assert_array_equal(x @ w.T.astype(np.float64) + b, [0.0, 1.5])
+        caches = {"0.0": cache}
+        # matmul yields +0.0 for a zero sum, so the -0.0 cases use the caches
+        # a forward pass over a -0.0 pre-activation may leave
+        caches["-0.0 clamped"] = [x, np.maximum(np.array([-0.0, 1.5]), 0.0)]
+        caches["-0.0 kept"] = [x, np.array([-0.0, 1.5])]
+        for name, c in caches.items():
+            [(dw, db)], dx = nn.backward(net, c, np.array([3.0, 2.0]))
+            assert not dw[0].any() and db[0] == 0.0, name
+            np.testing.assert_array_equal(dw[1], 2.0 * x, err_msg=name)
+            assert db[1] == 2.0, name
+            # dx holds unit 1's contribution only
+            np.testing.assert_array_equal(dx, 2.0 * w[1].astype(np.float64), err_msg=name)
+
+    def test_leading_axes_sum_into_grads(self):
+        # a (2, 3, d) stack against the same rows as one (6, d) batch; the
+        # matmuls may take different BLAS kernels, so agreement is to rounding
+        net = make_net((3, 4, 2), ["relu", "sigmoid"], seed=7)
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 3, 3))
+        up = rng.normal(size=(2, 3, 2))
+        out, cache = nn.mlp_forward(net, x)
+        grads, dx = nn.backward(net, cache, up)
+        flat_out, flat_cache = nn.mlp_forward(net, x.reshape(6, 3))
+        flat_grads, flat_dx = nn.backward(net, flat_cache, up.reshape(6, 2))
+        assert out.shape == (2, 3, 2) and dx.shape == x.shape
+        np.testing.assert_allclose(out.reshape(6, 2), flat_out, rtol=1e-12)
+        np.testing.assert_allclose(dx.reshape(6, 3), flat_dx, rtol=1e-12)
+        for (dw, db), (fw, fb) in zip(grads, flat_grads):
+            assert dw.shape == fw.shape and db.shape == fb.shape
+            np.testing.assert_allclose(dw, fw, rtol=1e-12)
+            np.testing.assert_allclose(db, fb, rtol=1e-12)
 
 
 class TestAdam:
