@@ -1,15 +1,15 @@
 """The three multi-modal fusion architectures, their binary-relevance
 training, and inference.
 
-Strategies:
-  early        - one trunk (hidden ReLU + sigmoid head) over the concatenated
-                 raw modality features;
-  intermediate - per-modality hidden layers with auxiliary sigmoid heads, and
-                 a joint sigmoid head over the concatenated hidden states;
-                 the loss is the joint BCE plus every auxiliary BCE;
-  late         - independent per-modality branches; the prediction is the
-                 arithmetic mean of the branch probabilities and the loss is
-                 the sum of branch BCEs.
+Every strategy is a set of branches (hidden ReLU + sigmoid head), each
+with its own BCE in the loss:
+  early        - one branch, "trunk", over the concatenated raw modality
+                 features;
+  intermediate - one branch per modality, plus a joint sigmoid head over the
+                 concatenated hidden states whose BCE joins the loss;
+  late         - one branch per modality.
+Without a joint head (early and late) the prediction is the arithmetic mean
+of the branch probabilities, so early's is its one branch's output.
 
 Training is binary relevance: one sigmoid output per genre, mean BCE. The
 loop itself is :func:`nn.fit`; :func:`train` supplies the features (visual
@@ -113,8 +113,9 @@ class GenreModel:
     taxonomy: GenreTaxonomy
     d_h: int
     input_dims: dict                 # modality -> raw feature dim
-    trunk: ModalityBranch = None     # early only (over concatenated input)
-    branches: dict = field(default_factory=dict)  # intermediate / late
+    # branch name -> ModalityBranch: early's one "trunk" over the concatenated
+    # input, else one per modality (canonical order)
+    branches: dict = field(default_factory=dict)
     joint: nn.Mlp = None             # intermediate only
 
     @property
@@ -126,6 +127,13 @@ def make_genre_model(strategy: str, modalities, taxonomy: GenreTaxonomy,
                      input_dims: dict, d_h: int, seed: int = 0) -> GenreModel:
     """Seeded model construction; parameter draws happen in a fixed order so
     identical arguments give identical weights."""
+    return _genre_model(strategy, modalities, taxonomy, input_dims, d_h,
+                        spawn_rng(seed, "fusion/init"))
+
+
+def _genre_model(strategy: str, modalities, taxonomy: GenreTaxonomy, input_dims: dict,
+                 d_h: int, rng) -> GenreModel:
+    # rng None gives zero-weight nets, for parameters that are installed next
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     mods = canonical_modalities(modalities)
@@ -133,37 +141,21 @@ def make_genre_model(strategy: str, modalities, taxonomy: GenreTaxonomy,
     if missing:
         raise ValueError(f"input_dims missing {missing}")
     g = len(taxonomy)
-    rng = spawn_rng(seed, "fusion/init")
-    model = GenreModel(strategy=strategy, modalities=mods, taxonomy=taxonomy,
-                       d_h=d_h, input_dims={m: int(input_dims[m]) for m in mods})
-    if strategy == "early":
-        cat = sum(model.input_dims[m] for m in mods)
-        model.trunk = ModalityBranch(
-            hidden=nn.make_mlp((cat, d_h), ["relu"], rng),
-            head=nn.make_mlp((d_h, g), ["sigmoid"], rng),
-        )
-    else:
-        for m in mods:
-            model.branches[m] = ModalityBranch(
-                hidden=nn.make_mlp((model.input_dims[m], d_h), ["relu"], rng),
-                head=nn.make_mlp((d_h, g), ["sigmoid"], rng),
-            )
-        if strategy == "intermediate":
-            model.joint = nn.make_mlp((d_h * len(mods), g), ["sigmoid"], rng)
-    return model
+    dims = {m: int(input_dims[m]) for m in mods}
+    branch_dims = {"trunk": sum(dims.values())} if strategy == "early" else dims
+    branches = {name: ModalityBranch(hidden=nn.make_mlp((d, d_h), ["relu"], rng),
+                                     head=nn.make_mlp((d_h, g), ["sigmoid"], rng))
+                for name, d in branch_dims.items()}
+    joint = (nn.make_mlp((d_h * len(mods), g), ["sigmoid"], rng)
+             if strategy == "intermediate" else None)
+    return GenreModel(strategy=strategy, modalities=mods, taxonomy=taxonomy, d_h=d_h,
+                      input_dims=dims, branches=branches, joint=joint)
 
 
 def _mlps(model: GenreModel) -> list:
     """All MLPs in the canonical parameter order."""
-    nets = []
-    if model.trunk is not None:
-        nets += [model.trunk.hidden, model.trunk.head]
-    for m in model.modalities:
-        if m in model.branches:
-            nets += [model.branches[m].hidden, model.branches[m].head]
-    if model.joint is not None:
-        nets.append(model.joint)
-    return nets
+    nets = [net for b in model.branches.values() for net in (b.hidden, b.head)]
+    return nets + ([model.joint] if model.joint is not None else [])
 
 
 def model_params(model: GenreModel) -> list:
@@ -221,14 +213,23 @@ def assemble_inputs(record: VideoRecord, embedding_table: EmbeddingTable = None,
 # forward / backward
 # ---------------------------------------------------------------------------
 
+def _branch_inputs(model: GenreModel, mats: dict) -> dict:
+    """Each branch's input: early's trunk reads the concatenated modalities,
+    the other strategies' branches their own modality."""
+    if model.strategy == "early":
+        return {"trunk": np.concatenate([mats[m] for m in model.modalities], axis=-1)}
+    return mats
+
+
 def _forward(model: GenreModel, inputs: dict, masks: dict = None) -> dict:
     """Forward pass for any strategy.
 
-    Returns rho, the auxiliary per-modality probabilities (empty for early),
-    and the caches needed for the backward pass. ``masks`` optionally holds
-    inverted-dropout masks applied to each hidden activation. Every tensor
-    keeps the inputs' leading shape: single (d,) vectors give (G,) outputs,
-    (B, d) batches give (B, G).
+    Returns rho, the per-branch probabilities ``aux`` and the caches needed
+    for the backward pass. rho is the joint head's output if the model has
+    one, else the mean of the branch probabilities. ``masks`` optionally
+    holds inverted-dropout masks, by branch name, applied to each hidden
+    activation. Every tensor keeps the inputs' leading shape: single (d,)
+    vectors give (G,) outputs, (B, d) batches give (B, G).
     """
     missing = [m for m in model.modalities if m not in inputs]
     if missing:
@@ -241,35 +242,22 @@ def _forward(model: GenreModel, inputs: dict, masks: dict = None) -> dict:
             raise ValueError(
                 f"{m} input dim {mats[m].shape[-1]} != model dim {model.input_dims[m]}"
             )
-    ctx = {}
-    if model.strategy == "early":
-        x = np.concatenate([mats[m] for m in model.modalities], axis=-1)
-        z, ctx["cache_hidden"] = nn.mlp_forward(model.trunk.hidden, x)
-        if masks:
-            z = z * masks["trunk"]
-        rho, ctx["cache_head"] = nn.mlp_forward(model.trunk.head, z)
-        return {"rho": rho, "aux": {}, "ctx": ctx}
-
-    aux = {}
-    hidden = {}
-    ctx["branch"] = {}
-    for m in model.modalities:
-        branch = model.branches[m]
-        z, cache_h = nn.mlp_forward(branch.hidden, mats[m])
-        if masks and m in masks:
-            z = z * masks[m]
-        rho_m, cache_head = nn.mlp_forward(branch.head, z)
-        hidden[m] = z
-        aux[m] = rho_m
-        ctx["branch"][m] = {"cache_hidden": cache_h, "cache_head": cache_head}
-    if model.strategy == "intermediate":
-        zcat = np.concatenate([hidden[m] for m in model.modalities], axis=-1)
+    xs = _branch_inputs(model, mats)
+    aux, hidden, ctx = {}, {}, {"branch": {}}
+    for name, branch in model.branches.items():
+        z, cache_h = nn.mlp_forward(branch.hidden, xs[name])
+        if masks and name in masks:
+            z = z * masks[name]
+        aux[name], cache_head = nn.mlp_forward(branch.head, z)
+        hidden[name] = z
+        ctx["branch"][name] = {"cache_hidden": cache_h, "cache_head": cache_head}
+    if model.joint is not None:
+        zcat = np.concatenate(list(hidden.values()), axis=-1)
         rho, ctx["cache_joint"] = nn.mlp_forward(model.joint, zcat)
     else:
-        # late fusion averages the branch probabilities as reported at the
-        # 32-bit boundary, so predict() IS the mean of branch_predictions()
-        rho = np.mean([aux[m].astype(np.float32).astype(np.float64)
-                       for m in model.modalities], axis=0)
+        # the mean of the branch probabilities as reported at the 32-bit
+        # boundary, so predict() IS the mean of branch_predictions()
+        rho = sum(p.astype(np.float32).astype(np.float64) for p in aux.values()) / len(aux)
     return {"rho": rho, "aux": aux, "ctx": ctx}
 
 
@@ -281,14 +269,16 @@ def predict(model: GenreModel, inputs: dict) -> np.ndarray:
 
 
 def branch_predictions(model: GenreModel, inputs: dict) -> dict:
-    """Per-modality branch probabilities (float32); empty for early fusion."""
+    """Per-modality branch probabilities (float32); empty for early fusion,
+    whose one branch reads every modality."""
     out = _forward(model, inputs)
-    return {m: np.asarray(p, dtype=np.float32) for m, p in out["aux"].items()}
+    return {m: np.asarray(p, dtype=np.float32) for m, p in out["aux"].items()
+            if m in model.modalities}
 
 
 def training_loss(model: GenreModel, inputs: dict, labels) -> float:
-    """Strategy-dependent loss: early bce(rho); intermediate bce(rho) plus all
-    auxiliary bces; late the sum of branch bces."""
+    """The sum of the branch BCEs, plus the joint BCE for intermediate; early's
+    one branch makes its loss bce(rho)."""
     return _loss_from_forward(model, _forward(model, inputs), labels)[0]
 
 
@@ -298,10 +288,10 @@ def _loss_from_forward(model: GenreModel, fwd: dict, labels) -> tuple:
     if y.shape != rho.shape:
         raise ValueError(f"labels shape {y.shape} != predictions shape {rho.shape}")
     total, parts = 0.0, {}
-    if model.strategy != "late":
+    if model.joint is not None:
         total, parts["rho"] = nn.bce_loss(rho, y)
-    for m, aux in fwd["aux"].items():  # empty for early
-        aux_loss, parts[m] = nn.bce_loss(aux, y)
+    for name, aux in fwd["aux"].items():
+        aux_loss, parts[name] = nn.bce_loss(aux, y)
         total += aux_loss
     return total, parts
 
@@ -312,30 +302,22 @@ def loss_and_grads(model: GenreModel, inputs: dict, labels, masks: dict = None) 
     fwd = _forward(model, inputs, masks=masks)
     loss, d_parts = _loss_from_forward(model, fwd, labels)
     ctx = fwd["ctx"]
-    if model.strategy == "early":
-        g_head, dz = nn.backward(model.trunk.head, ctx["cache_head"], d_parts["rho"])
-        if masks:
-            dz = dz * masks["trunk"]
-        g_hidden, _ = nn.backward(model.trunk.hidden, ctx["cache_hidden"], dz)
-        return loss, [g for pair in g_hidden + g_head for g in pair]
-
     d_hidden, head_grads = {}, {}
-    for m in model.modalities:
-        head_grads[m], d_hidden[m] = nn.backward(model.branches[m].head,
-                                                 ctx["branch"][m]["cache_head"], d_parts[m])
-    if model.strategy == "intermediate":
+    for name, branch in model.branches.items():
+        head_grads[name], d_hidden[name] = nn.backward(
+            branch.head, ctx["branch"][name]["cache_head"], d_parts[name])
+    if model.joint is not None:
         g_joint, d_zcat = nn.backward(model.joint, ctx["cache_joint"], d_parts["rho"])
-        for i, m in enumerate(model.modalities):
-            d_hidden[m] = d_hidden[m] + d_zcat[..., i * model.d_h:(i + 1) * model.d_h]
+        for i, name in enumerate(model.branches):
+            d_hidden[name] = d_hidden[name] + d_zcat[..., i * model.d_h:(i + 1) * model.d_h]
     pairs = []
-    for m in model.modalities:
-        dz = d_hidden[m]
-        if masks and m in masks:
-            dz = dz * masks[m]
-        g_hidden, _ = nn.backward(model.branches[m].hidden,
-                                  ctx["branch"][m]["cache_hidden"], dz)
-        pairs += g_hidden + head_grads[m]
-    if model.strategy == "intermediate":
+    for name, branch in model.branches.items():
+        dz = d_hidden[name]
+        if masks and name in masks:
+            dz = dz * masks[name]
+        g_hidden, _ = nn.backward(branch.hidden, ctx["branch"][name]["cache_hidden"], dz)
+        pairs += g_hidden + head_grads[name]
+    if model.joint is not None:
         pairs += g_joint
     return loss, [g for pair in pairs for g in pair]
 
@@ -414,14 +396,13 @@ def train(dataset: Dataset, config: TrainConfig, embedding_table: EmbeddingTable
             feats["visual"] = aggregate.pooled_visual(train_packed, shots, "seeded-random",
                                                       rng_shots)
 
-    mask_names = ["trunk"] if model.strategy == "early" else list(mods)
     keep = 1.0 - config.dropout
 
     def batch_loss(idx):
         masks = None
         if config.dropout > 0.0:
             masks = {name: (rng_drop.random((len(idx), config.d_h)) < keep) / keep
-                     for name in mask_names}
+                     for name in model.branches}
         return loss_and_grads(model, {m: feats[m][idx] for m in mods}, y_train[idx],
                               masks=masks)
 
@@ -476,12 +457,13 @@ def load_model(path) -> GenreModel:
     header, params = nn.load_checkpoint(path)
     if header.get("kind") != "genre-fusion":
         raise ValueError(f"{path}: not a fusion checkpoint (kind={header.get('kind')!r})")
-    model = make_genre_model(
-        header["strategy"], tuple(header["modalities"]),
-        GenreTaxonomy(tuple(header["taxonomy"])),
-        {m: int(d) for m, d in header["input_dims"].items()},
-        int(header["d_h"]), seed=0,
-    )
+    try:
+        model = _genre_model(header["strategy"], tuple(header["modalities"]),
+                             GenreTaxonomy(tuple(header["taxonomy"])),
+                             {m: int(d) for m, d in header["input_dims"].items()},
+                             int(header["d_h"]), None)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed fusion checkpoint header ({exc!r})") from exc
     set_model_params(model, params)
     return model
 

@@ -229,9 +229,12 @@ def weighted_ce_loss(logits, labels, class_weights=(10.0, 1.0)) -> tuple:
     averaging over the rows; the gradient has the shape of ``logits``.
     """
     z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    y = np.asarray(labels).reshape(-1)
     if z.shape[-1:] != (2,) or z.size != 2 * y.size:
         raise ValueError(f"expected (B,2) logits and (B,) labels, got {z.shape}, {y.shape}")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("labels must be 0 or 1")
+    y = y.astype(np.int64)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite logits")
     w_pos, w_neg = float(class_weights[0]), float(class_weights[1])
@@ -487,12 +490,16 @@ def load_checkpoint(path) -> tuple:
     """Returns (header dict, list of float32 arrays)."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("magic") != _CKPT_MAGIC:
+        if not isinstance(header, dict) or header.get("magic") != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         blob = fh.read()
+    try:
+        shapes = [tuple(int(n) for n in shape) for shape in header["shapes"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from exc
     params = []
     pos = 0
-    for shape in header["shapes"]:
+    for shape in shapes:
         size = math.prod(shape)
         end = pos + 4 * size
         if end > len(blob):

@@ -211,7 +211,10 @@ def load_boundary_model(path) -> BoundaryModel:
     if header.get("kind") != "scene-boundary":
         raise ValueError(f"{path}: not a boundary checkpoint (kind={header.get('kind')!r})")
     # zero-weight layers of the header's shape take the checkpoint arrays
-    model = _boundary_model(int(header["feature_dim"]), tuple(header["hidden_dims"]), None)
+    try:
+        model = _boundary_model(int(header["feature_dim"]), tuple(header["hidden_dims"]), None)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed boundary checkpoint header ({exc!r})") from exc
     nn.set_mlp_params([model.mlp], params)
     return model
 

@@ -82,6 +82,36 @@ def test_eval_dim_mismatch_exit_1(workdir, tmp_path, capsys):
     assert "6" in err and "9" in err  # names both dims
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("eval", "strategy", None),
+    ("eval", "d_h", [2]),
+    ("eval", "modalities", 3),
+    ("eval", "shapes", None),
+    ("boundary-eval", "hidden_dims", None),
+])
+def test_malformed_checkpoint_header_exit_1(workdir, tmp_path, capsys, command, key, value):
+    # a checkpoint with the right magic whose header lacks or mistypes one field
+    from shotgenre import sceneboundary as sb
+
+    _, data, model = workdir
+    if command == "boundary-eval":
+        model = tmp_path / "b.ckpt"
+        sb.save_boundary_model(sb.make_boundary_model(6, hidden_dims=(4,), seed=0), model)
+    head, _, blob = model.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    out = ["--out-prefix", str(tmp_path / "x")] if command == "eval" else \
+        ["--out", str(tmp_path / "x.json")]
+    assert run([command, "--data", str(data), "--model", str(bad), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
+
+
 def test_report_from_predictions(workdir, tmp_path):
     root, data, model = workdir
     prefix = tmp_path / "ev"

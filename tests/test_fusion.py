@@ -83,10 +83,10 @@ class TestPredict:
                                         {"visual": 2}, d_h=2, seed=0)
         w1 = np.array([[1.0, 0.0], [0.0, 1.0]], np.float32)
         w2 = np.array([[1.0, -1.0], [2.0, 0.5]], np.float32)
-        model.trunk.hidden.layers[0].weights = w1
-        model.trunk.hidden.layers[0].bias = np.zeros(2, np.float32)
-        model.trunk.head.layers[0].weights = w2
-        model.trunk.head.layers[0].bias = np.zeros(2, np.float32)
+        model.branches["trunk"].hidden.layers[0].weights = w1
+        model.branches["trunk"].hidden.layers[0].bias = np.zeros(2, np.float32)
+        model.branches["trunk"].head.layers[0].weights = w2
+        model.branches["trunk"].head.layers[0].bias = np.zeros(2, np.float32)
         x = np.array([0.5, -1.0])
         z = np.maximum(x, 0)  # identity weights + relu
         logits = w2.astype(np.float64) @ z
@@ -103,6 +103,10 @@ class TestPredict:
         after = fusion.predict(model, inputs).astype(np.float64)
         assert np.all(after >= before)
 
+    def test_early_has_no_branch_predictions(self):
+        model = toy_model("early")
+        assert fusion.branch_predictions(model, toy_inputs(np.random.default_rng(7))) == {}
+
     def test_missing_modality_rejected(self):
         model = toy_model("intermediate")
         inputs = toy_inputs(np.random.default_rng(4))
@@ -118,13 +122,24 @@ class TestPredict:
             fusion.predict(model, inputs)
 
 
+class TestModelParams:
+    @pytest.mark.parametrize("strategy, modalities, shapes", [
+        # early: one branch over the concatenated visual (5) + audio (4) input
+        ("early", ("visual", "audio"), [(7, 9), (7,), (4, 7), (4,)]),
+        ("intermediate", ("visual", "audio", "language"),
+         [(7, 5), (7,), (4, 7), (4,), (7, 4), (7,), (4, 7), (4,),
+          (7, 6), (7,), (4, 7), (4,), (4, 21), (4,)]),
+        ("late", ("audio", "visual"), [(7, 5), (7,), (4, 7), (4,), (7, 4), (7,), (4, 7), (4,)]),
+    ])
+    def test_shapes_and_order(self, strategy, modalities, shapes):
+        model = toy_model(strategy, modalities=modalities)
+        assert [p.shape for p in fusion.model_params(model)] == shapes
+
+
 class TestTrainingLoss:
     def _half_output_model(self, strategy):
         model = toy_model(strategy, modalities=("visual",), seed=0)
-        nets = []
-        if model.trunk:
-            nets += [model.trunk.head]
-        nets += [b.head for b in model.branches.values()]
+        nets = [b.head for b in model.branches.values()]
         if model.joint is not None:
             nets.append(model.joint)
         for net in nets:
@@ -152,7 +167,7 @@ class TestTrainingLoss:
 
     def test_perfect_predictions_tiny_loss(self):
         model = self._half_output_model("early")
-        model.trunk.head.layers[0].bias = np.full(4, 50.0, np.float32)
+        model.branches["trunk"].head.layers[0].bias = np.full(4, 50.0, np.float32)
         loss = fusion.training_loss(model, {"visual": np.zeros(5)}, np.ones(4))
         assert loss < 1e-6
 
@@ -243,9 +258,10 @@ class TestTrain:
         assert all(np.isfinite(h["train_loss"]) and 0 <= h["val_macro_map"] <= 1
                    for h in history)
 
-    def test_dropout_path_trains(self, planted):
+    @pytest.mark.parametrize("strategy", fusion.STRATEGIES)
+    def test_dropout_path_trains(self, planted, strategy):
         _, dataset, table, _ = planted
-        cfg = fusion.TrainConfig(epochs=2, seed=3, d_h=8, dropout=0.3)
+        cfg = fusion.TrainConfig(strategy=strategy, epochs=2, seed=3, d_h=8, dropout=0.3)
         model, history = fusion.train(dataset, cfg, table)
         assert len(history) == 2
         assert np.isfinite(history[-1]["train_loss"])
@@ -271,7 +287,8 @@ class TestInference:
         _, dataset, table, _ = planted
         model = fusion.make_genre_model("early", ("visual", "audio"), dataset.taxonomy,
                                         {"visual": 8, "audio": 8}, d_h=4, seed=0)
-        for layer in model.trunk.hidden.layers + model.trunk.head.layers:
+        trunk = model.branches["trunk"]
+        for layer in trunk.hidden.layers + trunk.head.layers:
             layer.weights = np.zeros_like(layer.weights)
             layer.bias = np.zeros_like(layer.bias)
         preds = fusion.infer_dataset(model, dataset.split("test")[:2], table)
@@ -328,6 +345,23 @@ class TestCheckpointRoundtrip:
         assert loaded.strategy == model.strategy
         assert loaded.modalities == model.modalities
         recs = dataset.split("val")[:4]
+        np.testing.assert_array_equal(fusion.infer_dataset(loaded, recs, table).scores,
+                                      fusion.infer_dataset(model, recs, table).scores)
+
+    @pytest.mark.parametrize("strategy", fusion.STRATEGIES)
+    def test_load_draws_no_random_weights(self, planted, tmp_path, monkeypatch, strategy):
+        _, dataset, table, _ = planted
+        cfg = fusion.TrainConfig(strategy=strategy, epochs=1, seed=8, d_h=8)
+        model, _ = fusion.train(dataset, cfg, table)
+        path = tmp_path / "m.ckpt"
+        fusion.save_model(model, path)
+
+        def no_draw(*args):
+            raise AssertionError("load_model drew glorot weights")
+
+        monkeypatch.setattr(nn, "glorot_uniform", no_draw)
+        loaded = fusion.load_model(path)
+        recs = dataset.split("test")
         np.testing.assert_array_equal(fusion.infer_dataset(loaded, recs, table).scores,
                                       fusion.infer_dataset(model, recs, table).scores)
 

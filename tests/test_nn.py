@@ -154,6 +154,9 @@ class TestWeightedCeLoss:
             np.testing.assert_array_equal(g.reshape(3, 2), grad)
         with pytest.raises(ValueError, match="expected"):
             nn.weighted_ce_loss(logits, labels[:2])
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match="0 or 1"):
+                nn.weighted_ce_loss(np.array([0.0, 1.0]), bad)
 
 
 class TestBackward:
