@@ -1,21 +1,21 @@
 """Shot and video feature aggregation (mean pooling) and the shot/frame
 sampling policy.
 
-Means sum each coordinate's sorted values left to right in 64-bit, so they
-are bit-exactly invariant to input order, whatever reduction loop numpy
-would pick; results are emitted as 32-bit.
+One averaging rule serves every mean (frames into a shot, shots into a video
+or a window): each coordinate's sorted values are summed left to right in
+64-bit, so a mean is bit-exactly invariant to input order; results are 32-bit.
 
 Sampling: a record with at most ``num_shots`` shots keeps all of them;
 otherwise "seeded-random" keeps the ``num_shots`` shots with the lowest
 uniform keys (in temporal order) and "deterministic-uniform" takes evenly
-spaced shots. Frames are always picked by even spacing within a shot,
-duplicated when a shot is shorter than ``frames_per_shot``.
+spaced shots. Frames are picked by even spacing within a shot (duplicated
+when a shot is shorter than ``frames_per_shot``), or all frames are kept.
 
+``pack_records`` pools each shot of a record list once through
+``grouped_mean``: fusion (evenly spaced frames, then ``pooled_visual``),
+sliding-window labeling and scene-boundary samples (all frames) call it.
 ``sample_shots`` + ``shot_feature`` + ``video_feature`` pool one record and
-are the reference. ``pack_records`` pools each shot of a record list once,
-in blocks of ``_BLOCK_RECORDS`` records, into a float32 shot-feature matrix;
-``pooled_visual`` pools a whole split from it, drawing every key in one call
-on the generator it is given, bit for bit equal to the reference.
+are only the reference that tests compare the batched path to, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ import numpy as np
 from .featurestore import Shot, VideoRecord
 
 __all__ = ["shot_feature", "video_feature", "sample_shots", "even_indices",
-           "pack_records", "pooled_visual"]
+           "grouped_mean", "pack_records", "pooled_visual"]
 
 MODES = ("seeded-random", "deterministic-uniform")
 
@@ -125,11 +125,21 @@ class PackedShots:
     shot_start: np.ndarray     # (records + 1,) int64
 
 
+def grouped_mean(values: np.ndarray, index: np.ndarray, counts) -> np.ndarray:
+    """Row ``i`` is the mean of ``values[index[i, :counts[i]]]``, as float32,
+    taken with one gather and one mean per distinct count."""
+    out = np.empty((len(counts), values.shape[1]), dtype=np.float32)
+    for k in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == k)
+        out[rows] = _ordered_mean(values[index[rows, :k]], axis=1)
+    return out
+
+
 def pack_records(records, frames_per_shot: int = 3) -> PackedShots:
     """Pool every shot of ``records`` once, from ``frames_per_shot`` evenly
-    spaced frames, for :func:`pooled_visual`. Every record needs at least one
-    shot and every shot at least one frame."""
-    if frames_per_shot < 1:
+    spaced frames or, when it is None, from all of its frames. Every record
+    needs at least one shot and every shot at least one frame."""
+    if frames_per_shot is not None and frames_per_shot < 1:
         raise ValueError("frames_per_shot must be positive")
     shots, shot_start = [], [0]
     for rec in records:
@@ -143,9 +153,12 @@ def pack_records(records, frames_per_shot: int = 3) -> PackedShots:
     for lo in range(0, len(records), _BLOCK_RECORDS):
         block = shots[shot_start[lo]:shot_start[min(lo + _BLOCK_RECORDS, len(records))]]
         counts = np.array([shot.num_frames for shot in block], dtype=np.int64)
-        frame_ids = (np.cumsum(counts) - counts)[:, None] + _even(counts, frames_per_shot)
-        frames = np.concatenate([shot.frames for shot in block])[frame_ids]  # (shots, f, d)
-        pooled.append(_ordered_mean(frames, axis=1))
+        if frames_per_shot is None:
+            picks, kept = np.arange(counts.max()), counts
+        else:
+            picks, kept = _even(counts, frames_per_shot), np.full_like(counts, frames_per_shot)
+        frame_ids = (np.cumsum(counts) - counts)[:, None] + picks
+        pooled.append(grouped_mean(np.concatenate([shot.frames for shot in block]), frame_ids, kept))
     return PackedShots(shot_features=np.concatenate(pooled),
                        shot_start=np.array(shot_start, dtype=np.int64))
 
@@ -164,9 +177,4 @@ def pooled_visual(packed: PackedShots, num_shots: int = 8,
         raise ValueError("num_shots must be positive")
     counts = np.diff(packed.shot_start)
     picks = packed.shot_start[:-1, None] + _shot_indices(counts, num_shots, mode, rng)
-    picked_counts = np.minimum(counts, num_shots)
-    out = np.empty((len(counts), packed.shot_features.shape[1]), dtype=np.float32)
-    for k in np.unique(picked_counts).tolist():
-        rows = np.flatnonzero(picked_counts == k)
-        out[rows] = _ordered_mean(packed.shot_features[picks[rows, :k]], axis=1)
-    return out
+    return grouped_mean(packed.shot_features, picks, np.minimum(counts, num_shots))

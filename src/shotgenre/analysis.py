@@ -73,8 +73,8 @@ def sliding_window(record: VideoRecord, model: fusion.GenreModel,
                    keywords_k: int = 20) -> WindowLabeling:
     """Label a long video window by window, in one batched :func:`fusion.predict`.
 
-    The visual feature is the mean shot feature over each window, pooled once
-    per distinct window length. Audio and language have no per-window slices
+    The visual feature is each window's :func:`aggregate.grouped_mean` of the
+    all-frame shot features. Audio and language have no per-window slices
     in the record format, so the record's global embedding / transcript is
     reused for every window when the model needs those modalities
     (visual-only models need nothing extra).
@@ -87,12 +87,9 @@ def sliding_window(record: VideoRecord, model: fusion.GenreModel,
               for m, feats in fusion.static_features(
                   [record], model.modalities, keywords_k, embedding_table).items()}
     if "visual" in model.modalities:
-        shot_feats = np.stack([aggregate.shot_feature(s) for s in record.shots])
-        inputs["visual"] = np.empty((len(spans), shot_feats.shape[1]), dtype=np.float32)
-        for k in np.unique(ends - starts).tolist():
-            rows = np.flatnonzero(ends - starts == k)
-            inputs["visual"][rows] = aggregate._ordered_mean(
-                shot_feats[starts[rows, None] + np.arange(k)], axis=1)
+        shots = aggregate.pack_records([record], None).shot_features
+        inputs["visual"] = aggregate.grouped_mean(shots, starts[:, None] + np.arange(window),
+                                                  ends - starts)
     scores = fusion.predict(model, inputs)
     return WindowLabeling(windows=[WindowScore(start=start, end=end, scores=row)
                                    for (start, end), row in zip(spans, scores)],

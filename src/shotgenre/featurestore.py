@@ -330,19 +330,12 @@ def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims) -> list:
 # serialization
 # ---------------------------------------------------------------------------
 
-class _F32Seq:
-    """Marker for sequences to be emitted with 32-bit shortest float repr."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float32)
-
-
 def _emit(obj, out: list):
-    if isinstance(obj, _F32Seq):
+    if isinstance(obj, str):  # first: transcript words are most of a record
+        out.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1:
         out.append("[")
-        out.append(",".join(_fmt32(v) for v in obj.values))
+        out.append(",".join(_fmt32(v) for v in obj))
         out.append("]")
     elif isinstance(obj, dict):
         out.append("{")
@@ -355,7 +348,7 @@ def _emit(obj, out: list):
             out.append(":")
             _emit(v, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, np.ndarray)):  # a 2-D array row by row
         out.append("[")
         first = True
         for v in obj:
@@ -370,8 +363,6 @@ def _emit(obj, out: list):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt32(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
     elif obj is None:
         out.append("null")
     else:
@@ -379,15 +370,15 @@ def _emit(obj, out: list):
 
 
 def json_line(obj) -> str:
-    """Serialize one header/record object to a single JSON line; all floats
-    are written in their shortest 32-bit form."""
+    """Serialize one header/record object to a single JSON line; all floats,
+    numpy array elements included, are written in their shortest 32-bit form."""
     out = []
     _emit(obj, out)
     return "".join(out)
 
 
 def _shot_to_obj(shot: Shot):
-    obj = {"frames": [_F32Seq(f) for f in shot.frames]}
+    obj = {"frames": shot.frames}
     if shot.pixel_stats is not None:
         obj["pixel_stats"] = [
             {"mean_luma": ps.mean_luma, "warm_frac": ps.warm_frac, "cold_frac": ps.cold_frac}
@@ -402,7 +393,7 @@ def _record_to_obj(record: VideoRecord):
         "split": record.split,
         "genres": sorted(record.genres),
         "shots": [_shot_to_obj(s) for s in record.shots],
-        "audio_embedding": _F32Seq(record.audio_embedding),
+        "audio_embedding": record.audio_embedding,
         "transcript": [[t.text, t.pos] for t in record.transcript],
     }
     if record.boundary_flags is not None:
@@ -443,6 +434,12 @@ def _record_from_obj(obj, lineno: int, tokens: dict) -> VideoRecord:
                 ]
             shots.append(Shot(np.asarray(s["frames"], dtype=np.float32), stats))
         transcript = _transcript_from_obj(obj["transcript"], tokens)
+        if type(obj["id"]) is not str:
+            raise ValueError(f"id must be a string, got {obj['id']!r}")
+        flags = obj.get("boundary_flags")
+        if flags is not None and (type(flags) is not list
+                                  or any(type(b) is not int or b not in (0, 1) for b in flags)):
+            raise ValueError(f"boundary_flags must be a list of integers 0 or 1, got {flags!r}")
         return VideoRecord(
             id=obj["id"],
             split=obj["split"],
@@ -450,7 +447,7 @@ def _record_from_obj(obj, lineno: int, tokens: dict) -> VideoRecord:
             shots=shots,
             audio_embedding=obj["audio_embedding"],
             transcript=transcript,
-            boundary_flags=obj.get("boundary_flags"),
+            boundary_flags=flags,
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise DatasetFormatError(f"line {lineno}: malformed record ({exc})") from exc
@@ -498,11 +495,16 @@ def read_dataset(path) -> Dataset:
                 raise DatasetFormatError(
                     f"line 1: unsupported format_version {header['format_version']!r}"
                 )
-            taxonomy = GenreTaxonomy(tuple(header["taxonomy"]))
-            d_v, d_a, d_l = int(header["d_v"]), int(header["d_a"]), int(header["d_l"])
+            names = header["taxonomy"]
+            d_v, d_a, d_l = dims = header["d_v"], header["d_a"], header["d_l"]
         except (KeyError, TypeError) as exc:
             raise DatasetFormatError(f"line 1: malformed header ({exc})") from exc
-        if min(d_v, d_a, d_l) < 1:
+        if type(names) is not list or any(type(g) is not str for g in names):
+            raise DatasetFormatError(f"line 1: taxonomy must be a list of strings, got {names!r}")
+        if any(type(d) is not int for d in dims):
+            raise DatasetFormatError(f"line 1: feature dimensions must be integers, got {dims!r}")
+        taxonomy = GenreTaxonomy(tuple(names))
+        if min(dims) < 1:
             raise DatasetFormatError("line 1: feature dimensions must be >= 1")
 
         records = []
@@ -530,7 +532,7 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json_line({"format_version": FORMAT_VERSION, "d_l": table.dim}) + "\n")
         for token in sorted(table.vectors):
-            fh.write(json_line({"token": token, "vector": _F32Seq(table.vectors[token])}) + "\n")
+            fh.write(json_line({"token": token, "vector": _f32(table.vectors[token])}) + "\n")
 
 
 def read_embeddings(path) -> EmbeddingTable:
@@ -645,9 +647,9 @@ class PlantedTruth:
 
     def save(self, path) -> None:
         obj = {
-            "w_visual": [_F32Seq(row) for row in self.w_visual],
-            "w_audio": [_F32Seq(row) for row in self.w_audio],
-            "w_language": [_F32Seq(row) for row in self.w_language],
+            "w_visual": self.w_visual,
+            "w_audio": self.w_audio,
+            "w_language": self.w_language,
             "genre_vocab": {g: list(v) for g, v in sorted(self.genre_vocab.items())},
             "filler_tokens": list(self.filler_tokens),
         }

@@ -84,7 +84,6 @@ class TrainConfig:
     keywords_k: int = 20
     resample_each_epoch: bool = True
     optimizer: str = "adam"
-    warmup_frac: float = 0.05
     dropout: float = 0.0
 
     def validate(self) -> None:
@@ -225,11 +224,11 @@ def _forward(model: GenreModel, inputs: dict, masks: dict = None) -> dict:
     """Forward pass for any strategy.
 
     Returns rho, the per-branch probabilities ``aux`` and the caches needed
-    for the backward pass. rho is the joint head's output if the model has
-    one, else the mean of the branch probabilities. ``masks`` optionally
-    holds inverted-dropout masks, by branch name, applied to each hidden
-    activation. Every tensor keeps the inputs' leading shape: single (d,)
-    vectors give (G,) outputs, (B, d) batches give (B, G).
+    for the backward pass. rho is the joint head's output, or None without a
+    joint head. ``masks`` optionally holds inverted-dropout masks, by branch
+    name, applied to each hidden activation. Every tensor keeps the inputs'
+    leading shape: single (d,) vectors give (G,) outputs, (B, d) batches give
+    (B, G).
     """
     missing = [m for m in model.modalities if m not in inputs]
     if missing:
@@ -251,13 +250,10 @@ def _forward(model: GenreModel, inputs: dict, masks: dict = None) -> dict:
         aux[name], cache_head = nn.mlp_forward(branch.head, z)
         hidden[name] = z
         ctx["branch"][name] = {"cache_hidden": cache_h, "cache_head": cache_head}
+    rho = None
     if model.joint is not None:
         zcat = np.concatenate(list(hidden.values()), axis=-1)
         rho, ctx["cache_joint"] = nn.mlp_forward(model.joint, zcat)
-    else:
-        # the mean of the branch probabilities as reported at the 32-bit
-        # boundary, so predict() IS the mean of branch_predictions()
-        rho = sum(p.astype(np.float32).astype(np.float64) for p in aux.values()) / len(aux)
     return {"rho": rho, "aux": aux, "ctx": ctx}
 
 
@@ -265,7 +261,12 @@ def predict(model: GenreModel, inputs: dict) -> np.ndarray:
     """Per-genre probabilities in (0,1), float32; accepts a single record's
     feature dict or batched (B, d) inputs."""
     out = _forward(model, inputs)
-    return np.asarray(out["rho"], dtype=np.float32)
+    rho, aux = out["rho"], out["aux"]
+    if rho is None:
+        # the mean of the branch probabilities as reported at the 32-bit
+        # boundary, so predict() IS the mean of branch_predictions()
+        rho = sum(p.astype(np.float32).astype(np.float64) for p in aux.values()) / len(aux)
+    return np.asarray(rho, dtype=np.float32)
 
 
 def branch_predictions(model: GenreModel, inputs: dict) -> dict:
@@ -284,12 +285,12 @@ def training_loss(model: GenreModel, inputs: dict, labels) -> float:
 
 def _loss_from_forward(model: GenreModel, fwd: dict, labels) -> tuple:
     y = np.asarray(labels, dtype=np.float64)
-    rho = fwd["rho"]
-    if y.shape != rho.shape:
-        raise ValueError(f"labels shape {y.shape} != predictions shape {rho.shape}")
+    shape = next(iter(fwd["aux"].values())).shape
+    if y.shape != shape:
+        raise ValueError(f"labels shape {y.shape} != predictions shape {shape}")
     total, parts = 0.0, {}
     if model.joint is not None:
-        total, parts["rho"] = nn.bce_loss(rho, y)
+        total, parts["rho"] = nn.bce_loss(fwd["rho"], y)
     for name, aux in fwd["aux"].items():
         aux_loss, parts[name] = nn.bce_loss(aux, y)
         total += aux_loss
@@ -411,7 +412,6 @@ def train(dataset: Dataset, config: TrainConfig, embedding_table: EmbeddingTable
 
     history = nn.fit(_mlps(model), n, batch_loss, evaluate, epochs=config.epochs,
                      batch_size=config.batch_size, max_lr=config.max_lr,
-                     warmup_frac=config.warmup_frac,
                      rng=spawn_rng(config.seed, "fusion/shuffle"),
                      score_name="val_macro_map", optimizer=config.optimizer,
                      begin_epoch=begin_epoch)

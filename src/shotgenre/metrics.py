@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurestore import DatasetFormatError, json_line, _F32Seq
+from .featurestore import DatasetFormatError, json_line
 
 __all__ = [
     "MetricsSummary",
@@ -202,7 +202,7 @@ def write_predictions(predictions: PredictionSet, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json_line({"format_version": 1, "taxonomy": list(predictions.genres)}) + "\n")
         for rid, row in zip(predictions.ids, predictions.scores):
-            fh.write(json_line({"id": rid, "scores": _F32Seq(row)}) + "\n")
+            fh.write(json_line({"id": rid, "scores": row}) + "\n")
 
 
 def read_predictions(path) -> PredictionSet:

@@ -328,7 +328,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 def fit(nets, n: int, batch_loss, evaluate, *, epochs: int, batch_size: int,
-        max_lr: float, warmup_frac: float, rng: np.random.Generator, score_name: str,
+        max_lr: float, rng: np.random.Generator, score_name: str,
         optimizer: str = "adam", begin_epoch=None) -> list:
     """Minibatch training of the parameters of ``nets`` over ``n`` samples.
 
@@ -358,7 +358,7 @@ def fit(nets, n: int, batch_loss, evaluate, *, epochs: int, batch_size: int,
             loss, grads = batch_loss(idx)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, step {step}")
-            lr = lr_schedule(step, total_steps, max_lr, warmup_frac)
+            lr = lr_schedule(step, total_steps, max_lr)
             if optimizer == "adam":
                 params, state = adam_step(params, grads, state, lr=lr)
             else:

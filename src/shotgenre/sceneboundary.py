@@ -73,10 +73,10 @@ def build_samples(shot_features, boundary_flags) -> list:
 
 def samples_from_record(record: VideoRecord) -> list:
     """Build samples from an annotated record (one with ``boundary_flags``);
-    shot features are the per-shot frame means."""
+    shot features are the all-frame means of :func:`aggregate.pack_records`."""
     if record.boundary_flags is None:
         raise ValueError(f"record {record.id} carries no boundary_flags")
-    feats = np.stack([aggregate.shot_feature(s) for s in record.shots])
+    feats = aggregate.pack_records([record], None).shot_features
     return build_samples(feats, record.boundary_flags)
 
 
@@ -124,7 +124,6 @@ class BoundaryTrainConfig:
     seed: int = 0
     val_frac: float = 0.2
     hidden_dims: tuple = (4096, 1024)
-    warmup_frac: float = 0.05
 
     def validate(self):
         if self.batch_size < 1 or self.epochs < 0 or self.max_lr <= 0:
@@ -182,8 +181,8 @@ def train_boundary(samples, config: BoundaryTrainConfig) -> tuple:
 
     history = nn.fit([model.mlp], len(train_idx), batch_loss, evaluate,
                      epochs=config.epochs, batch_size=config.batch_size,
-                     max_lr=config.max_lr, warmup_frac=config.warmup_frac,
-                     rng=spawn_rng(config.seed, "boundary/shuffle"), score_name="val_ap")
+                     max_lr=config.max_lr, rng=spawn_rng(config.seed, "boundary/shuffle"),
+                     score_name="val_ap")
     return model, history
 
 

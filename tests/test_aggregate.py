@@ -203,6 +203,19 @@ class TestPooledVisual:
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, expect)
 
+    @settings(max_examples=100, deadline=None)
+    @given(records=ragged_records())
+    def test_all_frames_match_shot_feature(self, records):
+        expect = np.stack([shot_feature(s) for r in records for s in r.shots])
+        with mock.patch.object(aggregate, "_BLOCK_RECORDS", 2):
+            got = pack_records(records, None).shot_features
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, expect)
+
+    def test_zero_frames_per_shot_rejected(self):
+        with pytest.raises(ValueError, match="frames_per_shot"):
+            pack_records([_record(3)], 0)
+
     def test_seeded_random_requires_rng(self):
         with pytest.raises(ValueError, match="generator"):
             pooled_visual(pack_records([_record(20)]), mode="seeded-random")
@@ -239,6 +252,7 @@ class TestPooledVisual:
         assert shot_feature(column)[0] == 0.0
         assert pooled_visual(pack_records([one_frame_shots], 1), num_shots=16)[0, 0] == 0.0
         assert pooled_visual(pack_records([one_shot], 16), num_shots=1)[0, 0] == 0.0
+        assert pack_records([one_shot], None).shot_features[0, 0] == 0.0
 
     def test_empty_record_named(self):
         empty = VideoRecord("blank", "train", set(), [], np.zeros(3, np.float32), [])
@@ -254,3 +268,18 @@ class TestPooledVisual:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             pooled_visual(pack_records([_record(3)]), mode="whatever")
+
+
+class TestGroupedMean:
+    def test_hand_groups_read_only_their_count(self):
+        values = np.array([[1, 10], [3, 30], [8, 80]], dtype=np.float32)
+        # row 1's index past its count points outside values and is never read
+        index = np.array([[0, 1, 2], [2, 9, 9], [1, 0, 9]])
+        out = aggregate.grouped_mean(values, index, np.array([3, 1, 2]))
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, [[4, 40], [8, 80], [2, 20]])
+
+    def test_no_groups_gives_empty_matrix(self):
+        out = aggregate.grouped_mean(np.ones((4, 3), np.float32), np.zeros((0, 2), np.int64),
+                                     np.zeros(0, np.int64))
+        assert out.shape == (0, 3) and out.dtype == np.float32

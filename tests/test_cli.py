@@ -82,6 +82,17 @@ def test_eval_dim_mismatch_exit_1(workdir, tmp_path, capsys):
     assert "6" in err and "9" in err  # names both dims
 
 
+def test_mistyped_dataset_header_exit_1(tmp_path, capsys):
+    # a string taxonomy used to read as one genre per character
+    data = tmp_path / "d.jsonl"
+    header = {"format_version": 1, "taxonomy": "AB", "d_v": 2, "d_a": 1, "d_l": 1}
+    record = {"id": "r1", "split": "train", "genres": ["A"], "shots": [{"frames": [[1.0, 2.0]]}],
+              "audio_embedding": [0.5], "transcript": []}
+    data.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    assert run(["pixstats", "--data", str(data), "--out", str(tmp_path / "p.csv")]) == 1
+    assert "line 1: taxonomy" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("eval", "strategy", None),
     ("eval", "d_h", [2]),

@@ -146,6 +146,32 @@ class TestReadErrors:
         with pytest.raises(fs.DatasetFormatError, match=named):
             fs.read_dataset(path)
 
+    @pytest.mark.parametrize("header, record, named", [
+        ({"taxonomy": "AB"}, {}, "line 1: taxonomy must be a list of strings"),
+        ({"taxonomy": ["A", 2]}, {}, "line 1: taxonomy must be a list of strings"),
+        ({"d_v": 2.9}, {}, "line 1: feature dimensions must be integers"),
+        ({"d_v": "2"}, {}, "line 1: feature dimensions must be integers"),
+        ({"d_v": "abc"}, {}, "line 1: feature dimensions must be integers"),
+        ({"d_a": True}, {}, "line 1: feature dimensions must be integers"),
+        ({}, {"id": None}, r"line 2: malformed record \(id must be a string"),
+        ({}, {"id": 7}, r"line 2: malformed record \(id must be a string"),
+        ({}, {"boundary_flags": [0.7]}, r"line 2: malformed record \(boundary_flags"),
+        ({}, {"boundary_flags": [True]}, r"line 2: malformed record \(boundary_flags"),
+        ({}, {"boundary_flags": ["0"]}, r"line 2: malformed record \(boundary_flags"),
+        ({}, {"boundary_flags": [2]}, r"line 2: malformed record \(boundary_flags"),
+    ], ids=["taxonomy-str", "taxonomy-int", "dim-float", "dim-str", "dim-word", "dim-bool",
+            "id-null", "id-int", "flag-float", "flag-bool", "flag-str", "flag-2"])
+    def test_mistyped_value_named(self, tmp_path, header, record, named):
+        # a two-shot record with one boundary flag, valid until overridden
+        head = {"format_version": 1, "taxonomy": ["A", "B"], "d_v": 2, "d_a": 1, "d_l": 1}
+        rec = {"shots": [{"frames": [[1.0, 2.0]]}] * 2, "boundary_flags": [1]}
+        valid = self._write(tmp_path, [json.dumps(head), self._record_line(**rec)])
+        assert fs.read_dataset(valid).records[0].boundary_flags == [1]
+        path = self._write(tmp_path, [json.dumps({**head, **header}),
+                                      self._record_line(**{**rec, **record})])
+        with pytest.raises(fs.DatasetFormatError, match=named):
+            fs.read_dataset(path)
+
     def test_zero_byte_file(self, tmp_path):
         path = tmp_path / "z.jsonl"
         path.write_text("", encoding="utf-8")

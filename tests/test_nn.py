@@ -323,8 +323,7 @@ class TestMlpParams:
 class TestFit:
     def _fit(self, net, batch_loss, evaluate, **kwargs):
         return nn.fit([net], 3, batch_loss, evaluate, epochs=4, batch_size=2, max_lr=0.1,
-                      warmup_frac=0.0, rng=np.random.default_rng(0), score_name="val",
-                      **kwargs)
+                      rng=np.random.default_rng(0), score_name="val", **kwargs)
 
     def test_nonfinite_loss_names_epoch_and_step(self):
         from shotgenre import fusion
