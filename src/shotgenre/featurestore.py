@@ -143,17 +143,18 @@ class Shot:
 class VideoRecord:
     """One video: shots, audio embedding, POS-tagged transcript, genre labels,
     split tag, and (for scene-annotated sequences) boundary flags between
-    consecutive shots."""
+    consecutive shots. The id and flags are kept as given; :func:`validate_record`
+    reports a non-string id and any flag that is not the integer 0 or 1."""
 
     def __init__(self, id, split, genres, shots, audio_embedding, transcript,
                  boundary_flags=None):
-        self.id = str(id)
+        self.id = id
         self.split = split
         self.genres = set(genres)
         self.shots = list(shots)
         self.audio_embedding = _f32(audio_embedding)
         self.transcript = list(transcript)
-        self.boundary_flags = None if boundary_flags is None else [int(b) for b in boundary_flags]
+        self.boundary_flags = None if boundary_flags is None else list(boundary_flags)
 
     def __eq__(self, other):
         if not isinstance(other, VideoRecord):
@@ -271,7 +272,9 @@ def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims) -> list:
     d_v, d_a, _ = dims
     rid = record.id
     problems = []
-    if not rid:
+    if type(rid) is not str:
+        problems.append(f"record id must be a string, got {rid!r}")
+    elif not rid:
         problems.append("record id is empty")
     if record.split not in SPLITS:
         problems.append(f"record {rid}: split {record.split!r} not in {SPLITS}")
@@ -321,8 +324,9 @@ def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims) -> list:
                 f"record {rid}: boundary_flags length {len(record.boundary_flags)}"
                 f" != shots-1 ({len(record.shots) - 1})"
             )
-        if any(b not in (0, 1) for b in record.boundary_flags):
-            problems.append(f"record {rid}: boundary_flags contain values outside {{0,1}}")
+        if any(type(b) is not int or b not in (0, 1) for b in record.boundary_flags):
+            problems.append(f"record {rid}: boundary_flags must be integers 0 or 1, "
+                            f"got {record.boundary_flags!r}")
     return problems
 
 
@@ -503,7 +507,10 @@ def read_dataset(path) -> Dataset:
             raise DatasetFormatError(f"line 1: taxonomy must be a list of strings, got {names!r}")
         if any(type(d) is not int for d in dims):
             raise DatasetFormatError(f"line 1: feature dimensions must be integers, got {dims!r}")
-        taxonomy = GenreTaxonomy(tuple(names))
+        try:
+            taxonomy = GenreTaxonomy(tuple(names))
+        except DatasetFormatError as exc:
+            raise DatasetFormatError(f"line 1: {exc}") from exc
         if min(dims) < 1:
             raise DatasetFormatError("line 1: feature dimensions must be >= 1")
 

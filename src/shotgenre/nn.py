@@ -1,7 +1,9 @@
 """Minimal neural core: dense layers, activations, losses, Adam, reverse-mode
 gradients, the training loop, and a finite-difference gradient checker.
 
-Parameters are stored as 32-bit arrays; all arithmetic (forward, backward,
+Parameters are float32 at rest. During :func:`fit` the nets hold float64
+views of one flat master vector that the optimizer updates in place; it only
+ever holds float32-representable values. All arithmetic (forward, backward,
 optimizer) runs in 64-bit so gradient checks are meaningful at rtol 1e-4.
 Only the MLP shapes this package needs are supported - no general autodiff.
 Forward and backward run over the last axis, so a (d,) vector and a (B, d)
@@ -117,8 +119,8 @@ def mlp_params(nets) -> list:
 
 def set_mlp_params(nets, arrays) -> None:
     """Install ``arrays``, in :func:`mlp_params` order, into ``nets`` as given,
-    keeping their dtype (grad checks install float64). Their count and every
-    shape must match the nets."""
+    keeping their dtype (:func:`fit` and grad checks install float64). Their
+    count and every shape must match the nets."""
     layers = [layer for net in nets for layer in net.layers]
     if len(arrays) != 2 * len(layers):
         raise ValueError(f"expected {2 * len(layers)} parameter arrays, got {len(arrays)}")
@@ -253,10 +255,16 @@ def weighted_ce_loss(logits, labels, class_weights=(10.0, 1.0)) -> tuple:
 # optimizers
 # ---------------------------------------------------------------------------
 
+# Elements per optimizer block: 64K float64 values (512 KB per operand), so
+# that a block's parameters, moments, gradient and scratch stay in L2 cache
+# across the passes of one step.
+_STEP_BLOCK = 1 << 16
+
+
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray  # flat float64 first moment, one entry per parameter
+    v: np.ndarray  # flat float64 second moment
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -266,44 +274,71 @@ class AdamState:
 
 def init_adam(params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        m=[np.zeros(p.shape, dtype=np.float64) for p in params],
-        v=[np.zeros(p.shape, dtype=np.float64) for p in params],
-        step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-    )
+    """Adam state for the flat parameter vector ``params``: zero float64
+    moments of its length, at step 0."""
+    return AdamState(m=np.zeros(np.shape(params)), v=np.zeros(np.shape(params)),
+                     step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(params, grads, state: AdamState, lr: float = None) -> tuple:
-    """One Adam update with bias correction; returns (new params, new state).
+def _blocks(params, grads):
+    """``(start, end, upd, tmp, rounded)`` per :data:`_STEP_BLOCK`-element
+    block of the flat vectors ``params`` and ``grads``, with block-sized
+    float64 scratch ``upd`` and ``tmp`` and float32 scratch ``rounded``."""
+    if grads.shape != params.shape or params.ndim != 1:
+        raise ValueError(f"grad shape {grads.shape} != param shape {params.shape}")
+    size = min(_STEP_BLOCK, params.size)
+    scratch = np.empty(size), np.empty(size), np.empty(size, dtype=np.float32)
+    for start in range(0, params.size, _STEP_BLOCK):
+        end = min(start + _STEP_BLOCK, params.size)
+        yield (start, end) + tuple(a[:end - start] for a in scratch)
 
-    Parameters stay 32-bit at the boundary; moments are kept in 64-bit.
+
+def _store_rounded(p, upd, rounded) -> None:
+    """``p = float32(p - upd)``, in place; ``upd`` is overwritten."""
+    np.subtract(p, upd, out=upd)
+    rounded[...] = upd
+    p[...] = rounded
+
+
+def adam_step(params, grads, state: AdamState, lr: float = None) -> None:
+    """One Adam update with bias correction (Kingma & Ba, arXiv 1412.6980),
+    in place on the flat float64 vector ``params`` and on ``state``.
+
+    ``grads`` is a float64 vector of the same length. The operation order is
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``, then
+    ``p - (lr*mhat) / (sqrt(vhat)+eps)`` rounded to float32 and stored back,
+    one :data:`_STEP_BLOCK`-element block at a time.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params/grads/state length mismatch")
+    if state.m.shape != params.shape:
+        raise ValueError(f"Adam state of shape {state.m.shape} != param shape {params.shape}")
     step_lr = state.lr if lr is None else lr
-    t = state.step + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.shape:
-            raise ValueError(f"grad shape {g.shape} != param shape {p.shape}")
-        m2 = state.beta1 * m + (1.0 - state.beta1) * g
-        v2 = state.beta2 * v + (1.0 - state.beta2) * g * g
-        mhat = m2 / (1.0 - state.beta1 ** t)
-        vhat = v2 / (1.0 - state.beta2 ** t)
-        upd = p.astype(np.float64) - step_lr * mhat / (np.sqrt(vhat) + state.eps)
-        new_params.append(upd.astype(np.float32))
-        new_m.append(m2)
-        new_v.append(v2)
-    return new_params, AdamState(m=new_m, v=new_v, step=t, lr=state.lr,
-                                 beta1=state.beta1, beta2=state.beta2, eps=state.eps)
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    for start, end, upd, tmp, rounded in _blocks(params, grads):
+        g, m, v = grads[start:end], state.m[start:end], state.v[start:end]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m += tmp
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(m, c1, out=upd)
+        upd *= step_lr
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        upd /= tmp
+        _store_rounded(params[start:end], upd, rounded)
 
 
-def sgd_step(params, grads, lr: float) -> list:
-    return [
-        (p.astype(np.float64) - lr * np.asarray(g, dtype=np.float64)).astype(np.float32)
-        for p, g in zip(params, grads)
-    ]
+def sgd_step(params, grads, lr: float) -> None:
+    """``params = float32(params - lr*grads)``, in place on the flat float64
+    vector ``params``, one :data:`_STEP_BLOCK`-element block at a time."""
+    for start, end, upd, _, rounded in _blocks(params, grads):
+        np.multiply(grads[start:end], lr, out=upd)
+        _store_rounded(params[start:end], upd, rounded)
 
 
 def lr_schedule(step: int, total_steps: int, max_lr: float, warmup_frac: float = 0.05) -> float:
@@ -332,46 +367,59 @@ def fit(nets, n: int, batch_loss, evaluate, *, epochs: int, batch_size: int,
         optimizer: str = "adam", begin_epoch=None) -> list:
     """Minibatch training of the parameters of ``nets`` over ``n`` samples.
 
-    Each epoch calls ``begin_epoch(epoch)`` if given, shuffles with
-    ``rng.permutation(n)``, then per batch installs the parameters and takes
-    an ``optimizer`` ("adam" or "sgd") step at the :func:`lr_schedule` rate on
-    ``batch_loss(idx) -> (loss, grads in mlp_params order)``; a non-finite
-    loss raises :class:`TrainingDivergedError`. ``evaluate()`` then scores the
-    epoch (higher is better). Returns one ``{"epoch", "train_loss",
-    score_name}`` row per epoch; the nets end with the best-scoring parameters.
+    At entry the parameters are packed into one flat float64 master vector
+    and the nets receive float64 views of it, which every step updates in
+    place. Each epoch calls ``begin_epoch(epoch)`` if given, shuffles with
+    ``rng.permutation(n)``, then per batch takes an ``optimizer`` ("adam" or
+    "sgd") step at the :func:`lr_schedule` rate on ``batch_loss(idx) -> (loss,
+    grads in mlp_params order)``; a non-finite loss raises
+    :class:`TrainingDivergedError`. ``evaluate()`` then scores the epoch
+    (higher is better). Returns one ``{"epoch", "train_loss", score_name}``
+    row per epoch; the nets end with float32 arrays of the best-scoring
+    parameters, or of the current ones if a step or callback raises.
     """
-    params = mlp_params(nets)
-    state = init_adam(params, lr=max_lr)
+    master, shapes = flatten_arrays(mlp_params(nets))
+    set_mlp_params(nets, unflatten_vector(master, shapes))
+    grad = np.empty_like(master)
+    state = init_adam(master, lr=max_lr) if optimizer == "adam" else None
     total_steps = epochs * ((n + batch_size - 1) // batch_size)
     step = 0
     history = []
     best_score = -1.0
-    best_params = [p.copy() for p in params]
-    for epoch in range(epochs):
-        if begin_epoch is not None:
-            begin_epoch(epoch)
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            idx = perm[start:start + batch_size]
-            set_mlp_params(nets, params)
-            loss, grads = batch_loss(idx)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, step {step}")
-            lr = lr_schedule(step, total_steps, max_lr)
-            if optimizer == "adam":
-                params, state = adam_step(params, grads, state, lr=lr)
-            else:
-                params = sgd_step(params, grads, lr)
-            step += 1
-            epoch_loss += loss * len(idx)
-        set_mlp_params(nets, params)
-        score = evaluate()
-        history.append({"epoch": epoch, "train_loss": epoch_loss / n, score_name: score})
-        if score > best_score:
-            best_score = score
-            best_params = [p.copy() for p in params]
-    set_mlp_params(nets, best_params)
+    best = master.astype(np.float32)
+    try:
+        for epoch in range(epochs):
+            if begin_epoch is not None:
+                begin_epoch(epoch)
+            perm = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, batch_size):
+                idx = perm[start:start + batch_size]
+                loss, grads = batch_loss(idx)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, step {step}")
+                if [np.shape(g) for g in grads] != shapes:
+                    raise ValueError(f"grad shapes {[np.shape(g) for g in grads]} != "
+                                     f"param shapes {shapes}")
+                np.concatenate([np.ravel(g) for g in grads], out=grad)
+                del grads  # not held while the next batch builds its own
+                lr = lr_schedule(step, total_steps, max_lr)
+                if state is not None:
+                    adam_step(master, grad, state, lr=lr)
+                else:
+                    sgd_step(master, grad, lr)
+                step += 1
+                epoch_loss += loss * len(idx)
+            score = evaluate()
+            history.append({"epoch": epoch, "train_loss": epoch_loss / n, score_name: score})
+            if score > best_score:
+                best_score = score
+                best[...] = master
+    except BaseException:
+        # float32 at rest on every exit: here the parameters before the failure
+        set_mlp_params(nets, unflatten_vector(master.astype(np.float32), shapes))
+        raise
+    set_mlp_params(nets, unflatten_vector(best, shapes))
     return history
 
 
@@ -457,11 +505,12 @@ def flatten_arrays(arrays) -> tuple:
 
 
 def unflatten_vector(vec, shapes) -> list:
+    """Views of the flat array ``vec`` in ``shapes``, keeping its dtype."""
     out = []
     pos = 0
     for shape in shapes:
         size = math.prod(shape)
-        out.append(np.asarray(vec[pos:pos + size], dtype=np.float64).reshape(shape))
+        out.append(vec[pos:pos + size].reshape(shape))
         pos += size
     if pos != len(vec):
         raise ValueError("vector length does not match shapes")
@@ -504,7 +553,8 @@ def load_checkpoint(path) -> tuple:
         end = pos + 4 * size
         if end > len(blob):
             raise ValueError(f"{path}: truncated checkpoint")
-        params.append(np.frombuffer(blob[pos:end], dtype="<f4").reshape(shape).copy())
+        params.append(np.frombuffer(blob, dtype="<f4", count=size, offset=pos)
+                      .reshape(shape).copy())
         pos = end
     if pos != len(blob):
         raise ValueError(f"{path}: trailing bytes in checkpoint")

@@ -4,6 +4,8 @@ These deliberately avoid the library's code paths (no shared ranking,
 sorting, or accumulation logic) so agreement is evidence, not tautology.
 """
 
+import numpy as np
+
 
 def oracle_average_precision(scores, labels):
     """O(n^2) AP: a positive's rank is the number of items beating it (higher
@@ -55,3 +57,26 @@ def oracle_window_spans(n, window, stride):
     if covered < n and 2 * (n - start) >= window:
         spans.append((start, n))
     return spans
+
+
+def oracle_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Out-of-place Adam with bias correction over lists of arrays (float32
+    parameters, float64 moments). Returns (new params, new m, new v)."""
+    new_params, new_m, new_v = [], [], []
+    for p, g, m_i, v_i in zip(params, grads, m, v):
+        g = np.asarray(g, dtype=np.float64)
+        m2 = beta1 * m_i + (1.0 - beta1) * g
+        v2 = beta2 * v_i + (1.0 - beta2) * g * g
+        mhat = m2 / (1.0 - beta1 ** step)
+        vhat = v2 / (1.0 - beta2 ** step)
+        upd = p.astype(np.float64) - lr * mhat / (np.sqrt(vhat) + eps)
+        new_params.append(upd.astype(np.float32))
+        new_m.append(m2)
+        new_v.append(v2)
+    return new_params, new_m, new_v
+
+
+def oracle_sgd_step(params, grads, lr):
+    """Out-of-place SGD over lists of arrays: float32(p - lr*g)."""
+    return [(p.astype(np.float64) - lr * np.asarray(g, dtype=np.float64)).astype(np.float32)
+            for p, g in zip(params, grads)]

@@ -93,6 +93,18 @@ def test_mistyped_dataset_header_exit_1(tmp_path, capsys):
     assert "line 1: taxonomy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("taxonomy, named", [
+    ([], "line 1: taxonomy is empty"),
+    (["A", "A"], "line 1: taxonomy contains duplicate genre names"),
+], ids=["empty", "duplicate"])
+def test_bad_taxonomy_exit_1(tmp_path, capsys, taxonomy, named):
+    data = tmp_path / "d.jsonl"
+    header = {"format_version": 1, "taxonomy": taxonomy, "d_v": 2, "d_a": 1, "d_l": 1}
+    data.write_text(json.dumps(header) + "\n", encoding="utf-8")
+    assert run(["pixstats", "--data", str(data), "--out", str(tmp_path / "p.csv")]) == 1
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("eval", "strategy", None),
     ("eval", "d_h", [2]),

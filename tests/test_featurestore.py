@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,8 @@ class TestReadErrors:
     @pytest.mark.parametrize("header, record, named", [
         ({"taxonomy": "AB"}, {}, "line 1: taxonomy must be a list of strings"),
         ({"taxonomy": ["A", 2]}, {}, "line 1: taxonomy must be a list of strings"),
+        ({"taxonomy": []}, {}, "line 1: taxonomy is empty"),
+        ({"taxonomy": ["A", "A"]}, {}, "line 1: taxonomy contains duplicate genre names"),
         ({"d_v": 2.9}, {}, "line 1: feature dimensions must be integers"),
         ({"d_v": "2"}, {}, "line 1: feature dimensions must be integers"),
         ({"d_v": "abc"}, {}, "line 1: feature dimensions must be integers"),
@@ -159,8 +162,9 @@ class TestReadErrors:
         ({}, {"boundary_flags": [True]}, r"line 2: malformed record \(boundary_flags"),
         ({}, {"boundary_flags": ["0"]}, r"line 2: malformed record \(boundary_flags"),
         ({}, {"boundary_flags": [2]}, r"line 2: malformed record \(boundary_flags"),
-    ], ids=["taxonomy-str", "taxonomy-int", "dim-float", "dim-str", "dim-word", "dim-bool",
-            "id-null", "id-int", "flag-float", "flag-bool", "flag-str", "flag-2"])
+    ], ids=["taxonomy-str", "taxonomy-int", "taxonomy-empty", "taxonomy-dup", "dim-float",
+            "dim-str", "dim-word", "dim-bool", "id-null", "id-int", "flag-float", "flag-bool",
+            "flag-str", "flag-2"])
     def test_mistyped_value_named(self, tmp_path, header, record, named):
         # a two-shot record with one boundary flag, valid until overridden
         head = {"format_version": 1, "taxonomy": ["A", "B"], "d_v": 2, "d_a": 1, "d_l": 1}
@@ -217,6 +221,28 @@ class TestValidateRecord:
                              [], boundary_flags=[1])
         problems = fs.validate_record(rec, taxonomy, (2, 1, 1))
         assert any("boundary_flags" in p for p in problems)
+
+    @pytest.mark.parametrize("rid, flags, named", [
+        (None, [1], "record id must be a string, got None"),
+        (7, [1], "record id must be a string, got 7"),
+        ("x", [0.7], "record x: boundary_flags must be integers 0 or 1, got [0.7]"),
+        ("x", [True], "record x: boundary_flags must be integers 0 or 1, got [True]"),
+        ("x", ["0"], "record x: boundary_flags must be integers 0 or 1, got ['0']"),
+        ("x", [2], "record x: boundary_flags must be integers 0 or 1, got [2]"),
+    ], ids=["id-none", "id-int", "flag-float", "flag-bool", "flag-str", "flag-2"])
+    def test_mistyped_id_and_flags_kept_and_reported(self, tmp_path, rid, flags, named):
+        # the values read_dataset rejects in a file are kept as given in
+        # memory, reported, and never written
+        taxonomy = fs.GenreTaxonomy(("A",))
+        shots = [fs.Shot(np.zeros((1, 2), np.float32)) for _ in range(2)]
+        rec = fs.VideoRecord(rid, "train", set(), shots, np.zeros(1, np.float32), [],
+                             boundary_flags=flags)
+        assert rec.id is rid and rec.boundary_flags == flags
+        assert [type(b) for b in rec.boundary_flags] == [type(b) for b in flags]
+        assert fs.validate_record(rec, taxonomy, (2, 1, 1)) == [named]
+        with pytest.raises(fs.DatasetFormatError, match=re.escape(named)):
+            fs.write_dataset(fs.Dataset(taxonomy, 2, 1, 1, [rec]), tmp_path / "d.jsonl")
+        assert not (tmp_path / "d.jsonl").exists()
 
 
 class TestSynth:

@@ -1,10 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from shotgenre import nn
 from shotgenre._rng import spawn_rng
+
+from oracles import oracle_adam_step, oracle_sgd_step
+
+
+# fit's tracemalloc peak over a 64-1024-512-2 net, in float64 parameter
+# bytes: master, two moments, the gradient list and its flat copy (5) plus a
+# float32 best snapshot (0.5) and block-sized scratch read 5.53; full-size
+# scratch would add 2.5 more.
+PEAK_PARAM_MULTIPLE = 6.5
 
 
 def make_net(dims, acts, seed=0):
@@ -254,36 +264,67 @@ class TestBackward:
 
 class TestAdam:
     def test_zero_gradient_noop(self):
-        params = [np.array([1.0, 2.0], np.float32)]
+        params = np.array([1.0, 2.0])
+        before = params.copy()
         state = nn.init_adam(params)
-        new_params, new_state = nn.adam_step(params, [np.zeros(2)], state)
-        np.testing.assert_array_equal(new_params[0], params[0])
-        assert new_state.step == 1
+        nn.adam_step(params, np.zeros(2), state)
+        np.testing.assert_array_equal(params, before)
+        assert state.step == 1
 
     def test_first_step_magnitude(self):
         # bias-corrected first step moves by ~lr regardless of gradient scale
-        params = [np.array([1.0], np.float32)]
+        params = np.array([1.0])
         state = nn.init_adam(params, lr=1e-3)
-        new_params, _ = nn.adam_step(params, [np.array([1.0])], state)
-        # hand evaluation: m_hat = v_hat = 1 -> step = lr / (1 + eps)
-        assert new_params[0][0] == pytest.approx(1.0 - 1e-3, abs=1e-9)
+        nn.adam_step(params, np.array([1.0]), state)
+        # hand evaluation: m_hat = v_hat = 1 -> step = lr / (1 + eps), and the
+        # stored value is rounded to float32
+        assert params[0] == np.float32(1.0 - 1e-3 / (1.0 + 1e-8))
 
     def test_deterministic(self):
-        params = [np.array([[0.5, -0.5]], np.float32)]
-        grads = [np.array([[0.2, 0.1]])]
-        a = nn.adam_step(params, grads, nn.init_adam(params))
-        b = nn.adam_step(params, grads, nn.init_adam(params))
-        np.testing.assert_array_equal(a[0][0], b[0][0])
-        np.testing.assert_array_equal(a[1].m[0], b[1].m[0])
+        start = np.array([0.5, -0.5])
+        grads = np.array([0.2, 0.1])
+        a, b = start.copy(), start.copy()
+        state_a, state_b = nn.init_adam(a), nn.init_adam(b)
+        nn.adam_step(a, grads.copy(), state_a)
+        nn.adam_step(b, grads.copy(), state_b)
+        assert not np.array_equal(a, start)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state_a.m, state_b.m)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_matches_out_of_place_reference(self, monkeypatch, optimizer):
+        # three arrays (12, 5 and 6 values) in one flat vector; 5-element
+        # blocks straddle both array boundaries and leave a 3-element tail
+        monkeypatch.setattr(nn, "_STEP_BLOCK", 5)
+        rng = np.random.default_rng(8)
+        params = [rng.normal(size=s).astype(np.float32) for s in [(3, 4), (5,), (2, 3)]]
+        m = [np.zeros(p.shape) for p in params]
+        v = [np.zeros(p.shape) for p in params]
+        flat = np.concatenate([p.ravel() for p in params]).astype(np.float64)
+        state = nn.init_adam(flat, lr=0.01)
+        for step in range(1, 5):
+            grads = [rng.normal(size=p.shape) * 10.0 ** -step for p in params]
+            lr = 0.01 * step
+            if optimizer == "adam":
+                nn.adam_step(flat, np.concatenate([g.ravel() for g in grads]), state, lr=lr)
+                params, m, v = oracle_adam_step(params, grads, m, v, step, lr)
+                assert state.step == step
+                np.testing.assert_array_equal(state.m, np.concatenate([a.ravel() for a in m]))
+                np.testing.assert_array_equal(state.v, np.concatenate([a.ravel() for a in v]))
+            else:
+                nn.sgd_step(flat, np.concatenate([g.ravel() for g in grads]), lr)
+                params = oracle_sgd_step(params, grads, lr)
+            np.testing.assert_array_equal(flat, np.concatenate([p.ravel() for p in params]))
 
     def test_shape_mismatch_rejected(self):
-        params = [np.zeros((2, 2), np.float32)]
+        params = np.zeros(4)
         with pytest.raises(ValueError):
-            nn.adam_step(params, [np.zeros(3)], nn.init_adam(params))
+            nn.adam_step(params, np.zeros(3), nn.init_adam(params))
 
     def test_sgd_step(self):
-        out = nn.sgd_step([np.array([1.0], np.float32)], [np.array([2.0])], lr=0.1)
-        assert out[0][0] == pytest.approx(0.8)
+        params = np.array([1.0])
+        nn.sgd_step(params, np.array([2.0]), lr=0.1)
+        assert params[0] == pytest.approx(0.8)
 
 
 class TestLrSchedule:
@@ -336,6 +377,7 @@ class TestFit:
 
         with pytest.raises(nn.TrainingDivergedError, match="epoch 1, step 2"):
             self._fit(net, batch_loss, lambda: 0.0)
+        assert all(p.dtype == np.float32 for p in nn.mlp_params([net]))
         assert fusion.TrainingDivergedError is nn.TrainingDivergedError
 
     def test_best_epoch_parameters_restored(self):
@@ -359,6 +401,72 @@ class TestFit:
         assert not np.array_equal(snapshots[1][0], snapshots[3][0])
         for got, best in zip(nn.mlp_params([net]), snapshots[1]):
             np.testing.assert_array_equal(got, best)
+
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_matches_out_of_place_reference(self, monkeypatch, optimizer):
+        # 39 parameters in 4 arrays: 7-element blocks straddle every array
+        # boundary and leave a 4-element tail block
+        monkeypatch.setattr(nn, "_STEP_BLOCK", 7)
+        net = make_net((5, 4, 3), ["relu", "sigmoid"], seed=3)
+        start = [p.copy() for p in nn.mlp_params([net])]
+        rng = np.random.default_rng(4)
+        seen, sent = [], []
+
+        def batch_loss(idx):
+            params = nn.mlp_params([net])
+            seen.append([p.copy() for p in params])
+            grads = [p * 0.5 + rng.normal(size=p.shape) for p in params]
+            sent.append([g.copy() for g in grads])
+            return 1.0, grads
+
+        scores = iter([0.2, 0.9, 0.5, 0.1])
+        history = nn.fit([net], 5, batch_loss, lambda: next(scores), epochs=4, batch_size=2,
+                         max_lr=0.1, rng=np.random.default_rng(0), score_name="val",
+                         optimizer=optimizer)
+        assert [row["val"] for row in history] == [0.2, 0.9, 0.5, 0.1]
+        assert len(sent) == 12  # 3 steps per epoch
+        params = start
+        m = [np.zeros(p.shape) for p in start]
+        v = [np.zeros(p.shape) for p in start]
+        after = []
+        for step, grads in enumerate(sent):
+            for got, want in zip(seen[step], params):
+                np.testing.assert_array_equal(got, want.astype(np.float64))
+            lr = nn.lr_schedule(step, 12, 0.1)
+            if optimizer == "adam":
+                params, m, v = oracle_adam_step(params, grads, m, v, step + 1, lr)
+            else:
+                params = oracle_sgd_step(params, grads, lr)
+            after.append(params)
+        final = nn.mlp_params([net])
+        assert all(p.dtype == np.float32 for p in final)
+        # epoch 1 scored best; its last step is step 5
+        assert not np.array_equal(after[5][0], after[-1][0])
+        for got, want in zip(final, after[5]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_peak_allocation_bounded(self):
+        # a mid-sized net's training steps allocate a bounded multiple of its
+        # float64 parameter bytes: master, moments, gradient list and flat
+        # gradient, a float32 best snapshot, and block-sized scratch
+        net = make_net((64, 1024, 512, 2), ["relu", "relu", "sigmoid"], seed=5)
+        x = np.random.default_rng(6).normal(size=(8, 64))
+        param_bytes = 8 * sum(p.size for p in nn.mlp_params([net]))
+
+        def batch_loss(idx):
+            out, cache = nn.mlp_forward(net, x[idx])
+            grads, _ = nn.backward(net, cache, np.ones_like(out))
+            return float(out.sum()), [g for pair in grads for g in pair]
+
+        tracemalloc.start()
+        try:
+            nn.fit([net], 8, batch_loss, lambda: 0.0, epochs=1, batch_size=4, max_lr=1e-3,
+                   rng=np.random.default_rng(0), score_name="val")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PEAK_PARAM_MULTIPLE * param_bytes, peak / param_bytes
 
 
 class TestGradCheck:
