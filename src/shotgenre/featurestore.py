@@ -10,6 +10,21 @@ read(write(d)) is a bit-exact identity.
 Records from one ``read_dataset`` call, or one ``synth_dataset`` call,
 share their immutable ``Token`` instances: each distinct ``(text, pos)``
 pair is built once and referenced by every transcript that holds it.
+
+Reading and writing do per-token work once per distinct token, not once per
+occurrence:
+
+- ``write_dataset`` renders each distinct ``Token``'s ``["text","POS"]`` JSON
+  once per call, in a cache keyed by the token's ``id`` (every token stays
+  alive in the dataset for the call), and checks its text, case and POS when
+  it first enters that cache. Each record is emitted by a direct writer.
+- ``read_dataset`` checks a token's text, case and POS when it misses the
+  call's ``(text, pos) -> Token`` table, and only valid tokens enter the
+  table, so ``validate_record`` skips the per-token checks for a record whose
+  tokens all came from it. A record with an invalid token is validated in
+  full, which keeps every error message the same.
+- ``validate_record`` checks frame finiteness once per record and looks at
+  single shots only to name a failing one.
 """
 
 import json
@@ -170,7 +185,8 @@ class VideoRecord:
         )
 
     def __repr__(self):
-        return f"VideoRecord(id={self.id!r}, split={self.split!r}, genres={sorted(self.genres)}, shots={len(self.shots)})"
+        genres = sorted(self.genres, key=repr)  # a mixed-type set has no other order
+        return f"VideoRecord(id={self.id!r}, split={self.split!r}, genres={genres}, shots={len(self.shots)})"
 
 
 @dataclass(frozen=True)
@@ -260,14 +276,32 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 def _check_finite(arr) -> bool:
-    return bool(np.all(np.isfinite(arr)))
+    return bool(np.isfinite(arr).all())
 
 
-def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims) -> list:
+def _token_problems(text, pos) -> list:
+    """What is wrong with one transcript token, as the ends of
+    ``validate_record``'s messages; empty for a valid token."""
+    problems = []
+    if not text:
+        problems.append(" has empty text")
+    elif text != text.lower():
+        problems.append(f" ({text!r}) is not lowercase")
+    if pos not in POS_TAGS:
+        problems.append(f" has unknown POS {pos!r}")
+    return problems
+
+
+def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims, *,
+                    tokens_checked: bool = False) -> list:
     """Return ALL violations (empty list means the record is valid).
 
     ``dims`` is ``(d_v, d_a, d_l)``; d_l is unused here (transcripts carry no
     vectors) but kept so callers can pass dataset dims directly.
+
+    ``tokens_checked=True`` states that every transcript token has already
+    passed the text, case and POS checks, which are then skipped: the reader
+    and writer check each distinct token once, not once per occurrence.
     """
     d_v, d_a, _ = dims
     rid = record.id
@@ -278,11 +312,15 @@ def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims) -> list:
         problems.append("record id is empty")
     if record.split not in SPLITS:
         problems.append(f"record {rid}: split {record.split!r} not in {SPLITS}")
-    for g in sorted(record.genres):
+    for g in sorted(repr(g) for g in record.genres if type(g) is not str):
+        problems.append(f"record {rid}: genre {g} is not a string")
+    for g in sorted(g for g in record.genres if type(g) is str):
         if g not in taxonomy.names:
             problems.append(f"record {rid}: genre {g!r} not in taxonomy")
     if len(record.shots) == 0:
         problems.append(f"record {rid}: has no shots")
+    frames_finite = not record.shots or _check_finite(
+        np.concatenate([shot.frames.ravel() for shot in record.shots]))
     for si, shot in enumerate(record.shots):
         if shot.num_frames == 0:
             problems.append(f"record {rid}: shot {si} has no frames")
@@ -291,7 +329,7 @@ def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims) -> list:
             problems.append(
                 f"record {rid}: shot {si} frame dimension {shot.frames.shape[1]} != d_v {d_v}"
             )
-        if not _check_finite(shot.frames):
+        if not frames_finite and not _check_finite(shot.frames):
             problems.append(f"record {rid}: shot {si} has non-finite frame values")
         if shot.pixel_stats is not None:
             if len(shot.pixel_stats) != shot.num_frames:
@@ -311,13 +349,10 @@ def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims) -> list:
         )
     elif not _check_finite(record.audio_embedding):
         problems.append(f"record {rid}: audio embedding has non-finite values")
-    for ti, tok in enumerate(record.transcript):
-        if not tok.text:
-            problems.append(f"record {rid}: transcript token {ti} has empty text")
-        elif tok.text != tok.text.lower():
-            problems.append(f"record {rid}: transcript token {ti} ({tok.text!r}) is not lowercase")
-        if tok.pos not in POS_TAGS:
-            problems.append(f"record {rid}: transcript token {ti} has unknown POS {tok.pos!r}")
+    if not tokens_checked:
+        for ti, tok in enumerate(record.transcript):
+            problems += [f"record {rid}: transcript token {ti}{end}"
+                         for end in _token_problems(tok.text, tok.pos)]
     if record.boundary_flags is not None:
         if len(record.boundary_flags) != max(len(record.shots) - 1, 0):
             problems.append(
@@ -334,13 +369,16 @@ def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims) -> list:
 # serialization
 # ---------------------------------------------------------------------------
 
+def _vector_json(values) -> str:
+    """A 1-D array as a JSON array of shortest 32-bit decimals."""
+    return "[" + ",".join(map(str, np.asarray(values, dtype=np.float32))) + "]"
+
+
 def _emit(obj, out: list):
-    if isinstance(obj, str):  # first: transcript words are most of a record
+    if isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray) and obj.ndim == 1:
-        out.append("[")
-        out.append(",".join(_fmt32(v) for v in obj))
-        out.append("]")
+        out.append(_vector_json(obj))
     elif isinstance(obj, dict):
         out.append("{")
         first = True
@@ -381,35 +419,63 @@ def json_line(obj) -> str:
     return "".join(out)
 
 
-def _shot_to_obj(shot: Shot):
-    obj = {"frames": shot.frames}
-    if shot.pixel_stats is not None:
-        obj["pixel_stats"] = [
-            {"mean_luma": ps.mean_luma, "warm_frac": ps.warm_frac, "cold_frac": ps.cold_frac}
-            for ps in shot.pixel_stats
-        ]
-    return obj
+_PIXEL_STATS_JSON = '{{"mean_luma":{},"warm_frac":{},"cold_frac":{}}}'.format
 
 
-def _record_to_obj(record: VideoRecord):
-    obj = {
-        "id": record.id,
-        "split": record.split,
-        "genres": sorted(record.genres),
-        "shots": [_shot_to_obj(s) for s in record.shots],
-        "audio_embedding": record.audio_embedding,
-        "transcript": [[t.text, t.pos] for t in record.transcript],
-    }
+def _shot_json(shot: Shot) -> str:
+    frames = ",".join(map(_vector_json, np.asarray(shot.frames, dtype=np.float32)))
+    if shot.pixel_stats is None:
+        return f'{{"frames":[{frames}]}}'
+    values = [(ps.mean_luma, ps.warm_frac, ps.cold_frac) for ps in shot.pixel_stats]
+    text = list(map(str, np.array(values, dtype=np.float32).ravel()))
+    stats = ",".join(map(_PIXEL_STATS_JSON, text[0::3], text[1::3], text[2::3]))
+    return f'{{"frames":[{frames}],"pixel_stats":[{stats}]}}'
+
+
+def _record_json(record: VideoRecord, token_json: dict) -> str:
+    """A validated record's JSON line, the bytes ``json_line`` gives its
+    object form; ``token_json`` maps ``id(token)`` to the token's JSON text."""
+    genres = ",".join(map(json.dumps, sorted(record.genres)))
+    shots = ",".join(map(_shot_json, record.shots))
+    tokens = ",".join(map(token_json.__getitem__, map(id, record.transcript)))
+    line = (f'{{"id":{json.dumps(record.id)},"split":{json.dumps(record.split)},'
+            f'"genres":[{genres}],"shots":[{shots}],'
+            f'"audio_embedding":{_vector_json(record.audio_embedding)},"transcript":[{tokens}]')
     if record.boundary_flags is not None:
-        obj["boundary_flags"] = list(record.boundary_flags)
-    return obj
+        line += f',"boundary_flags":[{",".join(map(str, record.boundary_flags))}]'
+    return line + "}"
 
 
-def _transcript_from_obj(entries, tokens: dict) -> list:
+def _cache_token_json(transcript, token_json: dict) -> bool:
+    """Render each transcript token missing from ``token_json`` once, keyed by
+    its ``id``. Only a valid token (no ``_token_problems``) enters the cache;
+    False if the transcript holds another."""
+    if all(map(token_json.__contains__, map(id, transcript))):
+        return True
+    for tok in transcript:
+        if id(tok) not in token_json:
+            if _token_problems(tok.text, tok.pos):
+                return False
+            token_json[id(tok)] = f"[{json.dumps(tok.text)},{json.dumps(tok.pos)}]"
+    return True
+
+
+def _transcript_from_obj(entries, tokens: dict):
     """Map ``[text, pos]`` entries to shared Tokens through ``tokens``, a
-    ``(text, pos) -> Token`` table that holds only string pairs, so a hit
-    needs no type check."""
+    ``(text, pos) -> Token`` table of valid tokens only. Returns the
+    transcript and whether every token in it is valid.
+
+    A transcript of table hits is one lookup per entry; a miss, or any entry
+    that is not a pair, goes through the indexed loop, which names the bad
+    entry and checks a new token once, before it enters the table."""
+    try:
+        # the type guard keeps a two-key object from unpacking like a pair
+        if {list}.issuperset(map(type, entries)):
+            return [tokens[text, pos] for text, pos in entries], True
+    except (KeyError, TypeError, ValueError):
+        pass
     transcript = []
+    valid = True
     for ti, entry in enumerate(entries):
         if type(entry) is not list or len(entry) != 2:
             raise ValueError(f"transcript token {ti} is not a [text, pos] pair: {entry!r}")
@@ -421,12 +487,17 @@ def _transcript_from_obj(entries, tokens: dict) -> list:
                 raise ValueError(
                     f"transcript token {ti} is not a pair of strings: {entry!r}"
                 ) from None
-            tok = tokens[text, pos] = Token(text, pos)
+            tok = Token(text, pos)
+            if _token_problems(text, pos):
+                valid = False
+            else:
+                tokens[text, pos] = tok
         transcript.append(tok)
-    return transcript
+    return transcript, valid
 
 
-def _record_from_obj(obj, lineno: int, tokens: dict) -> VideoRecord:
+def _record_from_obj(obj, lineno: int, tokens: dict):
+    """Build one record; returns it and whether its tokens are all valid."""
     try:
         shots = []
         for s in obj["shots"]:
@@ -437,14 +508,14 @@ def _record_from_obj(obj, lineno: int, tokens: dict) -> VideoRecord:
                     for p in s["pixel_stats"]
                 ]
             shots.append(Shot(np.asarray(s["frames"], dtype=np.float32), stats))
-        transcript = _transcript_from_obj(obj["transcript"], tokens)
+        transcript, tokens_valid = _transcript_from_obj(obj["transcript"], tokens)
         if type(obj["id"]) is not str:
             raise ValueError(f"id must be a string, got {obj['id']!r}")
         flags = obj.get("boundary_flags")
         if flags is not None and (type(flags) is not list
                                   or any(type(b) is not int or b not in (0, 1) for b in flags)):
             raise ValueError(f"boundary_flags must be a list of integers 0 or 1, got {flags!r}")
-        return VideoRecord(
+        record = VideoRecord(
             id=obj["id"],
             split=obj["split"],
             genres=obj["genres"],
@@ -453,15 +524,23 @@ def _record_from_obj(obj, lineno: int, tokens: dict) -> VideoRecord:
             transcript=transcript,
             boundary_flags=flags,
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        if any(type(g) is not str for g in record.genres):
+            raise ValueError(f"genres must be strings, got {obj['genres']!r}")
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DatasetFormatError(f"line {lineno}: malformed record ({exc})") from exc
+    return record, tokens_valid
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Write a validated dataset; raises on the first invalid record."""
+    """Write a validated dataset; raises on the first invalid record.
+
+    Each distinct transcript ``Token`` is checked and rendered once per call.
+    """
     dims = (dataset.d_v, dataset.d_a, dataset.d_l)
+    token_json = {}
     for rec in dataset.records:
-        problems = validate_record(rec, dataset.taxonomy, dims)
+        checked = _cache_token_json(rec.transcript, token_json)
+        problems = validate_record(rec, dataset.taxonomy, dims, tokens_checked=checked)
         if problems:
             raise DatasetFormatError("; ".join(problems))
     header = {
@@ -474,7 +553,7 @@ def write_dataset(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json_line(header) + "\n")
         for rec in dataset.records:
-            fh.write(json_line(_record_to_obj(rec)) + "\n")
+            fh.write(_record_json(rec, token_json) + "\n")
 
 
 def read_dataset(path) -> Dataset:
@@ -517,21 +596,23 @@ def read_dataset(path) -> Dataset:
         records = []
         seen = set()
         tokens = {}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"line {lineno}: malformed record ({exc})") from exc
-            rec = _record_from_obj(obj, lineno, tokens)
-            problems = validate_record(rec, taxonomy, (d_v, d_a, d_l))
-            if problems:
-                raise DatasetFormatError(f"line {lineno}: " + "; ".join(problems))
-            if rec.id in seen:
-                raise DatasetFormatError(f"line {lineno}: duplicate record id {rec.id!r}")
-            seen.add(rec.id)
-            records.append(rec)
+        # a value beyond float32 range becomes inf, which validation reports
+        with np.errstate(over="ignore"):
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetFormatError(f"line {lineno}: malformed record ({exc})") from exc
+                rec, checked = _record_from_obj(obj, lineno, tokens)
+                problems = validate_record(rec, taxonomy, dims, tokens_checked=checked)
+                if problems:
+                    raise DatasetFormatError(f"line {lineno}: " + "; ".join(problems))
+                if rec.id in seen:
+                    raise DatasetFormatError(f"line {lineno}: duplicate record id {rec.id!r}")
+                seen.add(rec.id)
+                records.append(rec)
     return Dataset(taxonomy=taxonomy, d_v=d_v, d_a=d_a, d_l=d_l, records=records)
 
 
@@ -543,31 +624,46 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
 
 
 def read_embeddings(path) -> EmbeddingTable:
+    """Parse an embedding file under ``read_dataset``'s header rules: the
+    supported format version and an integer dimension of at least 1."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = json.loads(fh.readline())
-            dim = int(header["d_l"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            version, dim = header["format_version"], header["d_l"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DatasetFormatError(f"line 1: malformed embedding header ({exc})") from exc
+        if version != FORMAT_VERSION:
+            raise DatasetFormatError(f"line 1: unsupported format_version {version!r}")
+        if type(dim) is not int or dim < 1:
+            raise DatasetFormatError(f"line 1: d_l must be an integer >= 1, got {dim!r}")
         vectors = {}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                vec = _f32(obj["vector"])
-                token = obj["token"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DatasetFormatError(f"line {lineno}: malformed embedding ({exc})") from exc
-            if vec.shape != (dim,):
-                raise DatasetFormatError(
-                    f"line {lineno}: vector length {vec.shape[0]} != d_l {dim}"
-                )
-            if not _check_finite(vec):
-                raise DatasetFormatError(f"line {lineno}: non-finite embedding for {token!r}")
-            if token in vectors:
-                raise DatasetFormatError(f"line {lineno}: duplicate token {token!r}")
-            vectors[token] = vec
+        # a value beyond float32 range becomes inf, which is reported below
+        with np.errstate(over="ignore"):
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    vec = _f32(obj["vector"])
+                    token = obj["token"]
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                        OverflowError) as exc:
+                    raise DatasetFormatError(f"line {lineno}: malformed embedding ({exc})") from exc
+                if type(token) is not str:
+                    raise DatasetFormatError(
+                        f"line {lineno}: token must be a string, got {token!r}")
+                if vec.ndim == 0:
+                    raise DatasetFormatError(
+                        f"line {lineno}: vector must be a list, got {obj['vector']!r}")
+                if vec.shape != (dim,):
+                    raise DatasetFormatError(
+                        f"line {lineno}: vector length {vec.shape[0]} != d_l {dim}"
+                    )
+                if not _check_finite(vec):
+                    raise DatasetFormatError(f"line {lineno}: non-finite embedding for {token!r}")
+                if token in vectors:
+                    raise DatasetFormatError(f"line {lineno}: duplicate token {token!r}")
+                vectors[token] = vec
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 

@@ -1,6 +1,19 @@
+import os
+
 import pytest
 
 from shotgenre import featurestore as fs
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property-test modules then fail to collect on their own
+    pass
+else:
+    # CI runs every property test on the same examples, so a CI failure
+    # reproduces locally with CI=1
+    settings.register_profile("ci", derandomize=True, deadline=None)
+    if os.environ.get("CI"):
+        settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,8 @@ These deliberately avoid the library's code paths (no shared ranking,
 sorting, or accumulation logic) so agreement is evidence, not tautology.
 """
 
+import json
+
 import numpy as np
 
 
@@ -80,3 +82,44 @@ def oracle_sgd_step(params, grads, lr):
     """Out-of-place SGD over lists of arrays: float32(p - lr*g)."""
     return [(p.astype(np.float64) - lr * np.asarray(g, dtype=np.float64)).astype(np.float32)
             for p, g in zip(params, grads)]
+
+
+def oracle_dataset_text(dataset):
+    """The record-stream file text of a valid dataset, built from its fields
+    with the json module and ``str(np.float32)`` alone: a header object, then
+    one object per record, with no whitespace, keys in format order, and each
+    float as its shortest 32-bit decimal."""
+
+    def value(v):
+        if isinstance(v, str):
+            return json.dumps(v)
+        if isinstance(v, bool):
+            return json.dumps(v)
+        if isinstance(v, int):
+            return str(v)
+        if isinstance(v, float):
+            return str(np.float32(v))
+        if isinstance(v, list):
+            return "[" + ",".join(value(x) for x in v) + "]"
+        return "{" + ",".join(json.dumps(k) + ":" + value(x) for k, x in v.items()) + "}"
+
+    def floats(array):
+        return [float(x) for x in array]
+
+    lines = [value({"format_version": 1, "taxonomy": list(dataset.taxonomy.names),
+                    "d_v": dataset.d_v, "d_a": dataset.d_a, "d_l": dataset.d_l})]
+    for r in dataset.records:
+        shots = []
+        for s in r.shots:
+            shot = {"frames": [floats(row) for row in s.frames]}
+            if s.pixel_stats is not None:
+                shot["pixel_stats"] = [{"mean_luma": p.mean_luma, "warm_frac": p.warm_frac,
+                                        "cold_frac": p.cold_frac} for p in s.pixel_stats]
+            shots.append(shot)
+        obj = {"id": r.id, "split": r.split, "genres": sorted(r.genres), "shots": shots,
+               "audio_embedding": floats(r.audio_embedding),
+               "transcript": [[t.text, t.pos] for t in r.transcript]}
+        if r.boundary_flags is not None:
+            obj["boundary_flags"] = list(r.boundary_flags)
+        lines.append(value(obj))
+    return "".join(line + "\n" for line in lines)

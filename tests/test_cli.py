@@ -93,6 +93,17 @@ def test_mistyped_dataset_header_exit_1(tmp_path, capsys):
     assert "line 1: taxonomy" in capsys.readouterr().err
 
 
+def test_mixed_type_genres_exit_1(tmp_path, capsys):
+    # sorting [1, "A"] used to escape as a TypeError traceback
+    data = tmp_path / "d.jsonl"
+    header = {"format_version": 1, "taxonomy": ["A"], "d_v": 2, "d_a": 1, "d_l": 1}
+    record = {"id": "r1", "split": "train", "genres": [1, "A"],
+              "shots": [{"frames": [[1.0, 2.0]]}], "audio_embedding": [0.5], "transcript": []}
+    data.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert "line 2: malformed record (genres must be strings" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("taxonomy, named", [
     ([], "line 1: taxonomy is empty"),
     (["A", "A"], "line 1: taxonomy contains duplicate genre names"),
