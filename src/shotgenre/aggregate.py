@@ -109,9 +109,7 @@ def sample_shots(record: VideoRecord, num_shots: int = 8, frames_per_shot: int =
     for i in _shot_indices(np.array([n]), num_shots, mode, np.random.default_rng(seed))[0].tolist():
         shot = record.shots[i]
         frame_idx = even_indices(shot.num_frames, frames_per_shot)
-        stats = None
-        if shot.pixel_stats is not None:
-            stats = [shot.pixel_stats[j] for j in frame_idx]
+        stats = None if shot.pixel_stats is None else shot.pixel_stats[frame_idx]
         out.append(Shot(shot.frames[frame_idx], stats))
     return out
 

@@ -110,7 +110,8 @@ def retrieve_shots(labeling: WindowLabeling, genre: str, top_k: int) -> list:
 # ---------------------------------------------------------------------------
 
 def pixel_stats(frame: np.ndarray) -> PixelStats:
-    """Brightness and warm/cold fractions of an (h, w, 3) uint8 RGB frame.
+    """Brightness and warm/cold fractions of an (h, w, 3) uint8 RGB frame,
+    each rounded to 32 bits: one row of a ``Shot``'s ``pixel_stats``.
 
     warm_frac + cold_frac + neutral == 1 exactly (integer pixel counts).
     """
@@ -139,11 +140,8 @@ def pixel_stats(frame: np.ndarray) -> PixelStats:
     warm = ~neutral & ((hue < 90.0) | (hue >= 330.0))
     cold = ~neutral & ~warm
     total = arr.shape[0] * arr.shape[1]
-    return PixelStats(
-        mean_luma=float(luma.mean()),
-        warm_frac=int(warm.sum()) / total,
-        cold_frac=int(cold.sum()) / total,
-    )
+    return PixelStats(*np.array([luma.mean(), int(warm.sum()) / total,
+                                 int(cold.sum()) / total], dtype=np.float32).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +160,11 @@ class GenreProfile:
 
 
 def _video_values(record: VideoRecord) -> tuple:
-    stats = [ps for shot in record.shots if shot.pixel_stats for ps in shot.pixel_stats]
-    if not stats:
+    stats = [shot.pixel_stats for shot in record.shots if shot.pixel_stats is not None]
+    if not sum(map(len, stats)):
         return None
-    luma = float(np.mean([ps.mean_luma for ps in stats]))
-    warm = float(np.mean([ps.warm_frac for ps in stats]))
-    cold = float(np.mean([ps.cold_frac for ps in stats]))
+    # one contiguous float64 row per column: summed as np.mean sums a list
+    luma, warm, cold = np.concatenate(stats).astype(np.float64).T.copy().mean(axis=1).tolist()
     return luma, cold / max(warm, 1e-6)
 
 

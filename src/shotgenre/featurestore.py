@@ -7,6 +7,11 @@ line is one video record. All floats are 32-bit and serialized as the
 shortest decimal that parses back to the identical 32-bit value, so
 read(write(d)) is a bit-exact identity.
 
+A shot holds its frames as a ``(frames, d_v)`` float32 array and its optional
+pixel statistics as a ``(frames, 3)`` one, with the columns ``mean_luma,
+warm_frac, cold_frac``. ``array_json`` renders every float32 array of every
+file; the rest of a line is ``json.dumps`` text.
+
 Records from one ``read_dataset`` call, or one ``synth_dataset`` call,
 share their immutable ``Token`` instances: each distinct ``(text, pos)``
 pair is built once and referenced by every transcript that holds it.
@@ -17,7 +22,7 @@ occurrence:
 - ``write_dataset`` renders each distinct ``Token``'s ``["text","POS"]`` JSON
   once per call, in a cache keyed by the token's ``id`` (every token stays
   alive in the dataset for the call), and checks its text, case and POS when
-  it first enters that cache. Each record is emitted by a direct writer.
+  it first enters that cache.
 - ``read_dataset`` checks a token's text, case and POS when it misses the
   call's ``(text, pos) -> Token`` table, and only valid tokens enter the
   table, so ``validate_record`` skips the per-token checks for a record whose
@@ -30,6 +35,7 @@ occurrence:
 import json
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,33 +87,26 @@ def _f32(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float32)
 
 
-def _fmt32(x) -> str:
-    # Shortest decimal that round-trips the 32-bit value (numpy dragon4).
-    return str(np.float32(x))
+def array_json(values) -> str:
+    """A 1-D or 2-D float32 array as JSON: each value as the shortest decimal
+    that parses back to the identical 32-bit value (numpy dragon4)."""
+    values = _f32(values)
+    if values.ndim == 2:
+        return "[" + ",".join(map(array_json, values)) + "]"
+    return "[" + ",".join(map(str, values)) + "]"
 
 
-def as_f32_value(x) -> float:
-    """Round a scalar to its exact 32-bit value (stored as a Python float)."""
-    return float(np.float32(x))
-
-
-@dataclass
-class PixelStats:
-    """Per-frame low-level color statistics.
+class PixelStats(NamedTuple):
+    """Low-level color statistics of one frame: one row of a shot's
+    ``pixel_stats`` array, in its column order.
 
     ``warm_frac + cold_frac <= 1``; the remainder is the neutral fraction
-    (low-saturation / low-value pixels). Fields are canonicalized to exact
-    32-bit values, matching the on-disk float width.
+    (low-saturation / low-value pixels).
     """
 
     mean_luma: float
     warm_frac: float
     cold_frac: float
-
-    def __post_init__(self):
-        self.mean_luma = float(np.float32(self.mean_luma))
-        self.warm_frac = float(np.float32(self.warm_frac))
-        self.cold_frac = float(np.float32(self.cold_frac))
 
     @property
     def neutral_frac(self) -> float:
@@ -127,8 +126,10 @@ class Token:
 
 
 class Shot:
-    """One camera shot: a (num_frames, d_v) float32 frame-feature matrix plus
-    optional per-frame pixel statistics."""
+    """One camera shot: a ``(num_frames, d_v)`` float32 frame-feature matrix
+    plus optional per-frame pixel statistics, an ``(n, 3)`` float32 array
+    whose columns are ``PixelStats``' fields, from any ``(n, 3)`` array-like
+    (a list of ``PixelStats`` included). :func:`validate_record` checks n."""
 
     def __init__(self, frames, pixel_stats=None):
         self.frames = _f32(frames)
@@ -136,7 +137,14 @@ class Shot:
             self.frames = self.frames.reshape(0, 0)
         if self.frames.ndim != 2:
             raise DatasetFormatError(f"shot frames must be 2-D, got shape {self.frames.shape}")
-        self.pixel_stats = list(pixel_stats) if pixel_stats is not None else None
+        if pixel_stats is not None:
+            pixel_stats = _f32(pixel_stats)
+            if pixel_stats.shape == (0,):
+                pixel_stats = pixel_stats.reshape(0, 3)
+            if pixel_stats.ndim != 2 or pixel_stats.shape[1] != 3:
+                raise DatasetFormatError(
+                    f"shot pixel_stats must have shape (frames, 3), got {pixel_stats.shape}")
+        self.pixel_stats = pixel_stats
 
     @property
     def num_frames(self) -> int:
@@ -145,14 +153,16 @@ class Shot:
     def __eq__(self, other):
         if not isinstance(other, Shot):
             return NotImplemented
+        stats, other_stats = self.pixel_stats, other.pixel_stats
         return (
-            self.frames.shape == other.frames.shape
-            and np.array_equal(self.frames, other.frames)
-            and self.pixel_stats == other.pixel_stats
+            np.array_equal(self.frames, other.frames)
+            and (stats is None) == (other_stats is None)
+            and (stats is None or np.array_equal(stats, other_stats))
         )
 
     def __repr__(self):
-        return f"Shot(frames={self.frames.shape}, pixel_stats={'yes' if self.pixel_stats else 'no'})"
+        stats = "no" if self.pixel_stats is None else "yes"
+        return f"Shot(frames={self.frames.shape}, pixel_stats={stats})"
 
 
 class VideoRecord:
@@ -337,11 +347,11 @@ def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims, *,
                     f"record {rid}: shot {si} pixel_stats length {len(shot.pixel_stats)}"
                     f" != frame count {shot.num_frames}"
                 )
-            for pi, ps in enumerate(shot.pixel_stats):
-                if not (0.0 <= ps.mean_luma <= 1.0 and 0.0 <= ps.warm_frac <= 1.0
-                        and 0.0 <= ps.cold_frac <= 1.0):
+            # rows as Python floats: warm + cold is summed in 64-bit
+            for pi, (luma, warm, cold) in enumerate(shot.pixel_stats.tolist()):
+                if not (0.0 <= luma <= 1.0 and 0.0 <= warm <= 1.0 and 0.0 <= cold <= 1.0):
                     problems.append(f"record {rid}: shot {si} frame {pi} pixel stats out of [0,1]")
-                elif ps.warm_frac + ps.cold_frac > 1.0:
+                elif warm + cold > 1.0:
                     problems.append(f"record {rid}: shot {si} frame {pi} warm+cold > 1")
     if record.audio_embedding.ndim != 1 or record.audio_embedding.shape[0] != d_a:
         problems.append(
@@ -369,78 +379,27 @@ def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims, *,
 # serialization
 # ---------------------------------------------------------------------------
 
-def _vector_json(values) -> str:
-    """A 1-D array as a JSON array of shortest 32-bit decimals."""
-    return "[" + ",".join(map(str, np.asarray(values, dtype=np.float32))) + "]"
-
-
-def _emit(obj, out: list):
-    if isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray) and obj.ndim == 1:
-        out.append(_vector_json(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        first = True
-        for k, v in obj.items():
-            if not first:
-                out.append(",")
-            first = False
-            out.append(json.dumps(k))
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):  # a 2-D array row by row
-        out.append("[")
-        first = True
-        for v in obj:
-            if not first:
-                out.append(",")
-            first = False
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt32(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def json_line(obj) -> str:
-    """Serialize one header/record object to a single JSON line; all floats,
-    numpy array elements included, are written in their shortest 32-bit form."""
-    out = []
-    _emit(obj, out)
-    return "".join(out)
-
-
 _PIXEL_STATS_JSON = '{{"mean_luma":{},"warm_frac":{},"cold_frac":{}}}'.format
 
 
 def _shot_json(shot: Shot) -> str:
-    frames = ",".join(map(_vector_json, np.asarray(shot.frames, dtype=np.float32)))
+    frames = array_json(shot.frames)
     if shot.pixel_stats is None:
-        return f'{{"frames":[{frames}]}}'
-    values = [(ps.mean_luma, ps.warm_frac, ps.cold_frac) for ps in shot.pixel_stats]
-    text = list(map(str, np.array(values, dtype=np.float32).ravel()))
+        return f'{{"frames":{frames}}}'
+    text = list(map(str, shot.pixel_stats.ravel()))
     stats = ",".join(map(_PIXEL_STATS_JSON, text[0::3], text[1::3], text[2::3]))
-    return f'{{"frames":[{frames}],"pixel_stats":[{stats}]}}'
+    return f'{{"frames":{frames},"pixel_stats":[{stats}]}}'
 
 
 def _record_json(record: VideoRecord, token_json: dict) -> str:
-    """A validated record's JSON line, the bytes ``json_line`` gives its
-    object form; ``token_json`` maps ``id(token)`` to the token's JSON text."""
+    """A validated record's JSON line; ``token_json`` maps ``id(token)`` to
+    the token's JSON text."""
     genres = ",".join(map(json.dumps, sorted(record.genres)))
     shots = ",".join(map(_shot_json, record.shots))
     tokens = ",".join(map(token_json.__getitem__, map(id, record.transcript)))
     line = (f'{{"id":{json.dumps(record.id)},"split":{json.dumps(record.split)},'
             f'"genres":[{genres}],"shots":[{shots}],'
-            f'"audio_embedding":{_vector_json(record.audio_embedding)},"transcript":[{tokens}]')
+            f'"audio_embedding":{array_json(record.audio_embedding)},"transcript":[{tokens}]')
     if record.boundary_flags is not None:
         line += f',"boundary_flags":[{",".join(map(str, record.boundary_flags))}]'
     return line + "}"
@@ -503,10 +462,8 @@ def _record_from_obj(obj, lineno: int, tokens: dict):
         for s in obj["shots"]:
             stats = None
             if "pixel_stats" in s:
-                stats = [
-                    PixelStats(float(p["mean_luma"]), float(p["warm_frac"]), float(p["cold_frac"]))
-                    for p in s["pixel_stats"]
-                ]
+                stats = [(float(p["mean_luma"]), float(p["warm_frac"]), float(p["cold_frac"]))
+                         for p in s["pixel_stats"]]
             shots.append(Shot(np.asarray(s["frames"], dtype=np.float32), stats))
         transcript, tokens_valid = _transcript_from_obj(obj["transcript"], tokens)
         if type(obj["id"]) is not str:
@@ -551,7 +508,7 @@ def write_dataset(dataset: Dataset, path) -> None:
         "d_l": dataset.d_l,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_line(header) + "\n")
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for rec in dataset.records:
             fh.write(_record_json(rec, token_json) + "\n")
 
@@ -618,9 +575,10 @@ def read_dataset(path) -> Dataset:
 
 def write_embeddings(table: EmbeddingTable, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_line({"format_version": FORMAT_VERSION, "d_l": table.dim}) + "\n")
+        header = {"format_version": FORMAT_VERSION, "d_l": table.dim}
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for token in sorted(table.vectors):
-            fh.write(json_line({"token": token, "vector": _f32(table.vectors[token])}) + "\n")
+            fh.write(f'{{"token":{json.dumps(token)},"vector":{array_json(table.vectors[token])}}}\n')
 
 
 def read_embeddings(path) -> EmbeddingTable:
@@ -749,15 +707,14 @@ class PlantedTruth:
     filler_tokens: list
 
     def save(self, path) -> None:
-        obj = {
-            "w_visual": self.w_visual,
-            "w_audio": self.w_audio,
-            "w_language": self.w_language,
-            "genre_vocab": {g: list(v) for g, v in sorted(self.genre_vocab.items())},
-            "filler_tokens": list(self.filler_tokens),
-        }
+        vocab = json.dumps({g: list(v) for g, v in sorted(self.genre_vocab.items())},
+                           separators=(",", ":"))
+        fillers = json.dumps(list(self.filler_tokens), separators=(",", ":"))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json_line(obj) + "\n")
+            fh.write(f'{{"w_visual":{array_json(self.w_visual)},'
+                     f'"w_audio":{array_json(self.w_audio)},'
+                     f'"w_language":{array_json(self.w_language)},'
+                     f'"genre_vocab":{vocab},"filler_tokens":{fillers}}}\n')
 
     @classmethod
     def load(cls, path) -> "PlantedTruth":
@@ -861,14 +818,16 @@ def synth_dataset(config: SynthConfig, seed: int):
         genres = {names[g] for g in active}
 
         mean_v = w_v64 @ y
+        n_frames = config.frames_per_shot
+        # rng_pix draws nothing else, so one call per record keeps its stream
+        stats = (_planted_pixel_stats(active, G, config.shots_per_video * n_frames, rng_pix)
+                 if config.with_pixel_stats else None)
         shots = []
-        for _ in range(config.shots_per_video):
-            noise = rng_feat.normal(size=(config.frames_per_shot, config.d_v))
+        for si in range(config.shots_per_video):
+            noise = rng_feat.normal(size=(n_frames, config.d_v))
             frames = (mean_v[None, :] + config.noise_sigma_v * noise).astype(np.float32)
-            stats = None
-            if config.with_pixel_stats:
-                stats = _planted_pixel_stats(active, G, config.frames_per_shot, rng_pix)
-            shots.append(Shot(frames, stats))
+            shots.append(Shot(frames, None if stats is None
+                              else stats[si * n_frames:(si + 1) * n_frames]))
         audio = (w_a64 @ y + config.noise_sigma_a * rng_feat.normal(size=config.d_a)).astype(np.float32)
 
         tokens = []
@@ -907,7 +866,7 @@ def synth_dataset(config: SynthConfig, seed: int):
     return dataset, table, truth
 
 
-def _planted_pixel_stats(active, G, n_frames, rng) -> list:
+def _planted_pixel_stats(active, G, n_frames, rng) -> np.ndarray:
     # Brightness rises with genre index, warmth falls: gives genre_profiles
     # a recoverable ordering. Dirichlet keeps warm+cold+neutral an exact
     # partition with a safe neutral margin.
@@ -915,15 +874,10 @@ def _planted_pixel_stats(active, G, n_frames, rng) -> list:
     luma_base = 0.2 + 0.6 * pos
     warm_alpha = 1.0 + 6.0 * (1.0 - pos)
     cold_alpha = 1.0 + 6.0 * pos
-    stats = []
-    for _ in range(n_frames):
-        luma = float(np.clip(luma_base + 0.05 * rng.normal(), 0.0, 1.0))
-        warm, cold, _neutral = rng.dirichlet((warm_alpha, cold_alpha, 2.0))
-        stats.append(PixelStats(
-            mean_luma=as_f32_value(luma),
-            warm_frac=as_f32_value(warm),
-            cold_frac=as_f32_value(cold),
-        ))
+    stats = np.empty((n_frames, 3), dtype=np.float32)
+    for row in stats:
+        row[0] = min(max(luma_base + 0.05 * rng.normal(), 0.0), 1.0)
+        row[1:] = rng.dirichlet((warm_alpha, cold_alpha, 2.0))[:2]
     return stats
 
 

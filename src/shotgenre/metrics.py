@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurestore import DatasetFormatError, json_line
+from .featurestore import FORMAT_VERSION, DatasetFormatError, array_json
 
 __all__ = [
     "MetricsSummary",
@@ -199,19 +199,29 @@ def boundary_report(scores, labels) -> dict:
 # ---------------------------------------------------------------------------
 
 def write_predictions(predictions: PredictionSet, path) -> None:
+    header = {"format_version": FORMAT_VERSION, "taxonomy": list(predictions.genres)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_line({"format_version": 1, "taxonomy": list(predictions.genres)}) + "\n")
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for rid, row in zip(predictions.ids, predictions.scores):
-            fh.write(json_line({"id": rid, "scores": row}) + "\n")
+            fh.write(f'{{"id":{json.dumps(rid)},"scores":{array_json(row)}}}\n')
 
 
 def read_predictions(path) -> PredictionSet:
+    """Parse a prediction file under ``read_embeddings``' header rules (the
+    supported format version, and a taxonomy that is a list of distinct
+    strings); every score must be a finite number, not a boolean."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = json.loads(fh.readline())
-            genres = list(header["taxonomy"])
+            version, genres = header["format_version"], header["taxonomy"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DatasetFormatError(f"line 1: malformed prediction header ({exc})") from exc
+        if version != FORMAT_VERSION:
+            raise DatasetFormatError(f"line 1: unsupported format_version {version!r}")
+        if (type(genres) is not list or any(type(g) is not str for g in genres)
+                or len(set(genres)) != len(genres)):
+            raise DatasetFormatError(
+                f"line 1: taxonomy must be a list of distinct strings, got {genres!r}")
         ids, rows = [], []
         seen = set()
         for lineno, line in enumerate(fh, start=2):
@@ -220,9 +230,10 @@ def read_predictions(path) -> PredictionSet:
             try:
                 obj = json.loads(line)
                 rid = obj["id"]
-                row = np.asarray(obj["scores"], dtype=np.float32)
+                with np.errstate(over="ignore"):  # beyond float32 range: inf, reported below
+                    row = np.asarray(obj["scores"], dtype=np.float32)
                 duplicate = rid in seen
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DatasetFormatError(f"line {lineno}: malformed prediction ({exc})") from exc
             if duplicate:
                 raise DatasetFormatError(f"line {lineno}: duplicate prediction id {rid!r}")
@@ -231,6 +242,10 @@ def read_predictions(path) -> PredictionSet:
                     f"line {lineno}: scores have shape {row.shape}, but the header"
                     f" taxonomy has {len(genres)} genres"
                 )
+            if (any(type(s) not in (int, float) for s in obj["scores"])
+                    or not np.isfinite(row).all()):
+                raise DatasetFormatError(
+                    f"line {lineno}: scores must be finite numbers, got {obj['scores']!r}")
             seen.add(rid)
             ids.append(rid)
             rows.append(row)

@@ -84,42 +84,72 @@ def oracle_sgd_step(params, grads, lr):
             for p, g in zip(params, grads)]
 
 
+def _json(v):
+    """JSON text with no whitespace: strings through the json module, each
+    float as the shortest decimal that parses back to its 32-bit value."""
+    if isinstance(v, (str, bool)):
+        return json.dumps(v)
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return str(np.float32(v))
+    if isinstance(v, list):
+        return "[" + ",".join(_json(x) for x in v) + "]"
+    return "{" + ",".join(json.dumps(k) + ":" + _json(x) for k, x in v.items()) + "}"
+
+
+def _floats(array):
+    return [float(x) for x in array]
+
+
+def _lines(objects):
+    return "".join(_json(obj) + "\n" for obj in objects)
+
+
 def oracle_dataset_text(dataset):
     """The record-stream file text of a valid dataset, built from its fields
     with the json module and ``str(np.float32)`` alone: a header object, then
     one object per record, with no whitespace, keys in format order, and each
     float as its shortest 32-bit decimal."""
-
-    def value(v):
-        if isinstance(v, str):
-            return json.dumps(v)
-        if isinstance(v, bool):
-            return json.dumps(v)
-        if isinstance(v, int):
-            return str(v)
-        if isinstance(v, float):
-            return str(np.float32(v))
-        if isinstance(v, list):
-            return "[" + ",".join(value(x) for x in v) + "]"
-        return "{" + ",".join(json.dumps(k) + ":" + value(x) for k, x in v.items()) + "}"
-
-    def floats(array):
-        return [float(x) for x in array]
-
-    lines = [value({"format_version": 1, "taxonomy": list(dataset.taxonomy.names),
-                    "d_v": dataset.d_v, "d_a": dataset.d_a, "d_l": dataset.d_l})]
+    objects = [{"format_version": 1, "taxonomy": list(dataset.taxonomy.names),
+                "d_v": dataset.d_v, "d_a": dataset.d_a, "d_l": dataset.d_l}]
     for r in dataset.records:
         shots = []
         for s in r.shots:
-            shot = {"frames": [floats(row) for row in s.frames]}
+            shot = {"frames": [_floats(row) for row in s.frames]}
             if s.pixel_stats is not None:
-                shot["pixel_stats"] = [{"mean_luma": p.mean_luma, "warm_frac": p.warm_frac,
-                                        "cold_frac": p.cold_frac} for p in s.pixel_stats]
+                shot["pixel_stats"] = [{"mean_luma": luma, "warm_frac": warm, "cold_frac": cold}
+                                       for luma, warm, cold in map(_floats, s.pixel_stats)]
             shots.append(shot)
         obj = {"id": r.id, "split": r.split, "genres": sorted(r.genres), "shots": shots,
-               "audio_embedding": floats(r.audio_embedding),
+               "audio_embedding": _floats(r.audio_embedding),
                "transcript": [[t.text, t.pos] for t in r.transcript]}
         if r.boundary_flags is not None:
             obj["boundary_flags"] = list(r.boundary_flags)
-        lines.append(value(obj))
-    return "".join(line + "\n" for line in lines)
+        objects.append(obj)
+    return _lines(objects)
+
+
+def oracle_embeddings_text(table):
+    """An embedding file: a header object, then one ``token``/``vector``
+    object per token in sorted order."""
+    return _lines([{"format_version": 1, "d_l": table.dim}]
+                  + [{"token": t, "vector": _floats(table.vectors[t])} for t in sorted(table.vectors)])
+
+
+def oracle_predictions_text(predictions):
+    """A prediction file: a header object, then one ``id``/``scores`` object
+    per record in prediction order."""
+    return _lines([{"format_version": 1, "taxonomy": list(predictions.genres)}]
+                  + [{"id": rid, "scores": _floats(row)}
+                     for rid, row in zip(predictions.ids, predictions.scores)])
+
+
+def oracle_truth_text(truth):
+    """A planted-truth file: one object holding the three weight matrices row
+    by row, the vocabularies by sorted genre, and the filler tokens."""
+    return _lines([{"w_visual": [_floats(row) for row in truth.w_visual],
+                    "w_audio": [_floats(row) for row in truth.w_audio],
+                    "w_language": [_floats(row) for row in truth.w_language],
+                    "genre_vocab": {g: list(v) for g, v in sorted(truth.genre_vocab.items())},
+                    "filler_tokens": list(truth.filler_tokens)}])

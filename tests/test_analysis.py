@@ -260,6 +260,18 @@ class TestGenreProfiles:
         prof = {p.genre: p for p in analysis.genre_profiles(ds)}["A"]
         assert prof.coldwarm_mean == pytest.approx(0.4 / 1e-6)
 
+    def test_long_record_matches_per_frame_float64_mean(self):
+        # 3 shots of 50 frames: past the 128 values np.mean sums in one block
+        rng = np.random.default_rng(14)
+        stats = rng.dirichlet((2.0, 2.0, 2.0), size=(3, 50)).astype(np.float32)
+        rec = VideoRecord("r0", "train", {"A"}, [Shot(np.zeros((50, 4)), s) for s in stats],
+                          np.zeros(2, np.float32), [])
+        rows = [(float(a), float(b), float(c)) for a, b, c in stats.reshape(-1, 3)]
+        luma, warm, cold = (float(np.mean([row[j] for row in rows])) for j in range(3))
+        prof = {p.genre: p for p in analysis.genre_profiles(self._dataset([rec]))}["A"]
+        assert prof.brightness_mean == luma
+        assert prof.coldwarm_mean == cold / warm
+
     def test_records_without_stats_skipped(self):
         bare = VideoRecord("r9", "train", {"A"},
                            [Shot(np.zeros((1, 4), np.float32))], np.zeros(2, np.float32), [])

@@ -159,6 +159,25 @@ def test_report_from_predictions(workdir, tmp_path):
     assert (tmp_path / "re.report.csv").read_text() == (tmp_path / "ev.report.csv").read_text()
 
 
+@pytest.mark.parametrize("score", ["NaN", "1e39", "true"])
+def test_report_rejects_malformed_scores(workdir, tmp_path, capsys, score):
+    root, data, model = workdir
+    prefix = tmp_path / "ev"
+    assert run(["eval", "--data", str(data), "--model", str(model),
+                "--out-prefix", str(prefix)]) == 0
+    preds = tmp_path / "ev.predictions.jsonl"
+    header, first, *rest = preds.read_text(encoding="utf-8").splitlines()
+    row = json.loads(first)
+    first = f'{{"id":{json.dumps(row["id"])},"scores":[{",".join([score] * len(row["scores"]))}]}}'
+    preds.write_text("\n".join([header, first, *rest]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["report", "--data", str(data), "--predictions", str(preds),
+                "--out-prefix", str(tmp_path / "re")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert not (tmp_path / "re.report.txt").exists()
+
+
 def test_keywords_and_tfidf(workdir, tmp_path):
     _, data, _ = workdir
     kw = tmp_path / "kw.csv"

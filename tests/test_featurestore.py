@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_dataset_text
+from oracles import oracle_dataset_text, oracle_embeddings_text, oracle_truth_text
 from shotgenre import featurestore as fs
 
 
@@ -295,11 +295,12 @@ class TestSynth:
         ds, _, _ = fs.synth_dataset(small_config(with_pixel_stats=True), seed=2)
         for rec in ds.records:
             for shot in rec.shots:
-                assert shot.pixel_stats is not None
-                for ps in shot.pixel_stats:
-                    assert 0.0 <= ps.mean_luma <= 1.0
-                    assert ps.warm_frac + ps.cold_frac <= 1.0
-                    assert ps.neutral_frac >= 0.0
+                assert shot.pixel_stats.dtype == np.float32
+                assert shot.pixel_stats.shape == (shot.num_frames, 3)
+                luma, warm, cold = shot.pixel_stats.astype(np.float64).T
+                assert ((0.0 <= luma) & (luma <= 1.0)).all()
+                assert (warm + cold <= 1.0).all()
+                assert (1.0 - warm - cold >= 0.0).all()
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -392,6 +393,52 @@ def test_write_matches_oracle_bytes(written_datasets, tmp_path, name):
     fs.write_dataset(ds, path)
     assert path.read_bytes() == oracle_dataset_text(ds).encode("utf-8")
     assert fs.read_dataset(path) == ds
+
+
+def test_embeddings_and_truth_match_oracle_bytes(tmp_path):
+    table = fs.EmbeddingTable(3, {"é": EXTREMES[:3], "日本": EXTREMES[3:6],
+                                  'say "hi"': EXTREMES[6:9]})
+    fs.write_embeddings(table, tmp_path / "e.jsonl")
+    assert (tmp_path / "e.jsonl").read_bytes() == oracle_embeddings_text(table).encode("utf-8")
+    assert fs.read_embeddings(tmp_path / "e.jsonl") == table
+    truth = fs.PlantedTruth(EXTREMES[:6].reshape(3, 2), EXTREMES[4:].reshape(2, 3),
+                            EXTREMES[:2].reshape(1, 2), {"Ünder": ["é", "日本"], "Drama": []},
+                            ["filler\\0", "ñ"])
+    truth.save(tmp_path / "t.json")
+    assert (tmp_path / "t.json").read_bytes() == oracle_truth_text(truth).encode("utf-8")
+    again = fs.PlantedTruth.load(tmp_path / "t.json")
+    assert np.array_equal(again.w_audio, truth.w_audio)
+    assert again.genre_vocab == truth.genre_vocab
+
+
+class TestPixelStatsArray:
+    def test_list_of_pixel_stats_is_the_float32_array(self):
+        rows = [fs.PixelStats(0.1, 0.25, 1 / 3), fs.PixelStats(1e-45, 0.5, 0.5)]
+        shot = fs.Shot(np.zeros((2, 4)), rows)
+        expect = np.array(rows, np.float32)
+        assert shot.pixel_stats.dtype == np.float32
+        assert shot.pixel_stats.tobytes() == expect.tobytes()
+        assert shot == fs.Shot(np.zeros((2, 4)), expect)
+        assert shot != fs.Shot(np.zeros((2, 4)))
+        assert fs.Shot(np.zeros((2, 4))) == fs.Shot(np.zeros((2, 4)))
+
+    def test_empty_list_is_zero_rows(self):
+        assert fs.Shot(np.zeros((1, 2)), []).pixel_stats.shape == (0, 3)
+
+    @pytest.mark.parametrize("stats", [np.zeros(3), np.zeros((2, 2)), np.zeros((2, 4)),
+                                       np.zeros((2, 3, 1)), [[0.1, 0.2]], 0.5])
+    def test_shape_other_than_frames_by_three_rejected(self, stats):
+        with pytest.raises(fs.DatasetFormatError, match=r"pixel_stats must have shape \(frames, 3\)"):
+            fs.Shot(np.zeros((2, 4)), stats)
+
+    def test_warm_plus_cold_summed_in_float64(self):
+        # 0.5 + 0.50000006 rounds to exactly 1.0 in float32 but is above 1
+        cold = np.nextafter(np.float32(0.5), np.float32(1))
+        assert np.float32(0.5) + cold == np.float32(1.0)
+        shot = fs.Shot(np.zeros((2, 1)), [(0.5, 0.5, 0.5), (0.5, 0.5, cold)])
+        rec = fs.VideoRecord("r", "train", set(), [shot], np.zeros(1, np.float32), [])
+        assert fs.validate_record(rec, fs.GenreTaxonomy(("A",)), (1, 1, 1)) == [
+            "record r: shot 0 frame 1 warm+cold > 1"]
 
 
 _TEXT = st.text(min_size=1, max_size=5).filter(lambda t: t == t.lower())

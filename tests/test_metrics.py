@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import oracle_average_precision
+from oracles import oracle_average_precision, oracle_predictions_text
 from shotgenre import metrics
 from shotgenre.featurestore import DatasetFormatError, GenreTaxonomy
 
@@ -213,6 +213,53 @@ class TestPredictionFiles:
     def test_row_width_checked_against_taxonomy(self, tmp_path):
         path = self._prediction_file(tmp_path, [("r0", [0.1, 0.2]), ("r1", [0.3, 0.4, 0.5])])
         with pytest.raises(DatasetFormatError, match="line 3: .*2 genres"):
+            metrics.read_predictions(path)
+
+    def test_write_matches_oracle_bytes(self, tmp_path):
+        preds = make_predictions([[-0.0, 1e-45], [3.4028235e38, 0.1], [1 / 3, 1.0]],
+                                 ids=['ñ"id\\', "日本", "r"], genres=("Ünder", 'Q"uote'))
+        path = tmp_path / "p.jsonl"
+        metrics.write_predictions(preds, path)
+        assert path.read_bytes() == oracle_predictions_text(preds).encode("utf-8")
+        again = metrics.read_predictions(path)
+        assert again.ids == preds.ids and again.genres == preds.genres
+        assert again.scores.tobytes() == preds.scores.tobytes()
+
+    def _header_file(self, tmp_path, header):
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps(header) + "\n" + json.dumps({"id": "r0", "scores": [0.5]})
+                        + "\n", encoding="utf-8")
+        return path
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = self._header_file(tmp_path, {"format_version": 9, "taxonomy": ["A"]})
+        with pytest.raises(DatasetFormatError, match="line 1: unsupported format_version 9"):
+            metrics.read_predictions(path)
+
+    @pytest.mark.parametrize("taxonomy", ["A", ["A", "A"], ["A", 1], None])
+    def test_taxonomy_not_distinct_strings_rejected(self, tmp_path, taxonomy):
+        # a string taxonomy used to be split into its characters
+        path = self._header_file(tmp_path, {"format_version": 1, "taxonomy": taxonomy})
+        with pytest.raises(DatasetFormatError,
+                           match="line 1: taxonomy must be a list of distinct strings"):
+            metrics.read_predictions(path)
+
+    @pytest.mark.parametrize("score", [float("nan"), 1e39, -1e39, float("inf")])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        # under the suite's error::RuntimeWarning filter, so 1e39 must not warn
+        path = self._prediction_file(tmp_path, [("r0", [0.1, 0.2]), ("r1", [0.3, score])])
+        with pytest.raises(DatasetFormatError, match="line 3: scores must be finite numbers"):
+            metrics.read_predictions(path)
+
+    @pytest.mark.parametrize("score", [True, False, "0.5"])
+    def test_non_number_score_rejected(self, tmp_path, score):
+        path = self._prediction_file(tmp_path, [("r0", [score, 0.2])])
+        with pytest.raises(DatasetFormatError, match="line 2: scores must be finite numbers"):
+            metrics.read_predictions(path)
+
+    def test_huge_integer_score_rejected(self, tmp_path):
+        path = self._prediction_file(tmp_path, [("r0", [10 ** 400, 0.2])])
+        with pytest.raises(DatasetFormatError, match="line 2: malformed prediction"):
             metrics.read_predictions(path)
 
     def test_report_csv_quotes_fields(self, tmp_path):
