@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -175,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="JSON config file; flags override it")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="cap on worker threads for parallelizable analytics")
+                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, opts in COMMANDS.items():
         p = sub.add_parser(command)
@@ -332,11 +331,21 @@ def _parse_pair(spec: str, name: str) -> tuple:
     return tuple(parts)
 
 
-def _parse_int_list(spec: str, name: str) -> tuple:
+def _parse_sizes(spec: str, name: str) -> tuple:
     try:
-        return tuple(int(p) for p in str(spec).split(",") if p.strip())
+        sizes = tuple(int(p) for p in str(spec).split(",") if p.strip())
     except ValueError:
         raise UsageError(f"--{name}: expected comma-separated integers, got {spec!r}") from None
+    if any(size < 1 for size in sizes):
+        raise ValueError(f"--{name}: sizes must be >= 1, got {spec!r}")
+    return sizes
+
+
+def _count(v: dict, name: str):
+    value = v[name.replace("-", "_")]
+    if value is not None and value < 0:
+        raise ValueError(f"--{name} must be >= 0, got {value}")
+    return value
 
 
 def _load_embeddings_for(values: dict, dataset_path: str, needed: bool):
@@ -359,12 +368,12 @@ def _load_embeddings_for(values: dict, dataset_path: str, needed: bool):
 # handlers (each returns the list of artifact paths it wrote)
 # ---------------------------------------------------------------------------
 
-def _cmd_synth(v: dict, threads: int) -> tuple:
+def _cmd_synth(v: dict) -> tuple:
     config = SynthConfig(
         num_videos=v["videos"], num_genres=v["genres"], d_v=v["d_v"], d_a=v["d_a"],
         d_l=v["d_l"], shots_per_video=v["shots"], frames_per_shot=v["frames"],
         noise_sigma_v=v["noise_v"], noise_sigma_a=v["noise_a"], noise_sigma_l=v["noise_l"],
-        vocab_per_genre=v["vocab_per_genre"], num_fillers=v["fillers"],
+        vocab_per_genre=v["vocab_per_genre"], num_fillers=_count(v, "fillers"),
         with_pixel_stats=v["pixel_stats"],
     )
     dataset, table, truth = synth_dataset(config, seed=v["seed"])
@@ -378,7 +387,7 @@ def _cmd_synth(v: dict, threads: int) -> tuple:
     return out, [out, emb_path, truth_path]
 
 
-def _cmd_train(v: dict, threads: int) -> tuple:
+def _cmd_train(v: dict) -> tuple:
     dataset = read_dataset(v["data"])
     mods = _parse_modalities(v["modalities"])
     table = _load_embeddings_for(v, v["data"], needed="language" in mods)
@@ -416,7 +425,7 @@ def _check_model_dims(model: fusion.GenreModel, dataset) -> None:
         raise ValueError("model and dataset taxonomies differ")
 
 
-def _cmd_eval(v: dict, threads: int) -> tuple:
+def _cmd_eval(v: dict) -> tuple:
     dataset = read_dataset(v["data"])
     model = fusion.load_model(v["model"])
     _check_model_dims(model, dataset)
@@ -437,7 +446,7 @@ def _cmd_eval(v: dict, threads: int) -> tuple:
     return prefix, paths
 
 
-def _cmd_keywords(v: dict, threads: int) -> tuple:
+def _cmd_keywords(v: dict) -> tuple:
     dataset = read_dataset(v["data"])
     out = v["out"]
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -450,21 +459,20 @@ def _cmd_keywords(v: dict, threads: int) -> tuple:
     return out, [out]
 
 
-def _cmd_tfidf(v: dict, threads: int) -> tuple:
+def _cmd_tfidf(v: dict) -> tuple:
+    top_n, max_genres, limit = (_count(v, name) for name in ("top-n", "max-genres", "limit"))
     dataset = read_dataset(v["data"])
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        tables = textlab.build_genre_tables(dataset.records, dataset.taxonomy,
-                                            eligible_only=not v["all_pos"], executor=pool)
-    raw, filtered = textlab.filtered_genre_rankings(tables, top_n=v["top_n"],
-                                                    max_genres=v["max_genres"])
+    tables = textlab.build_genre_tables(dataset.records, dataset.taxonomy,
+                                        eligible_only=not v["all_pos"])
+    raw, filtered = textlab.filtered_genre_rankings(tables, top_n=top_n, max_genres=max_genres)
     prefix = v["out_prefix"]
     paths = [f"{prefix}.ranked.csv", f"{prefix}.filtered.csv"]
-    textlab.write_ranked_csv(raw, paths[0], limit=v["limit"])
-    textlab.write_ranked_csv(filtered, paths[1], limit=v["limit"])
+    textlab.write_ranked_csv(raw, paths[0], limit=limit)
+    textlab.write_ranked_csv(filtered, paths[1], limit=limit)
     return prefix, paths
 
 
-def _cmd_slide(v: dict, threads: int) -> tuple:
+def _cmd_slide(v: dict) -> tuple:
     dataset = read_dataset(v["data"])
     model = fusion.load_model(v["model"])
     _check_model_dims(model, dataset)
@@ -495,7 +503,7 @@ def _cmd_slide(v: dict, threads: int) -> tuple:
     return out, paths
 
 
-def _cmd_pixstats(v: dict, threads: int) -> tuple:
+def _cmd_pixstats(v: dict) -> tuple:
     dataset = read_dataset(v["data"])
     profiles = analysis.genre_profiles(dataset)
     if all(p.num_videos == 0 for p in profiles):
@@ -512,7 +520,8 @@ def _boundary_samples(records) -> list:
             for sample in sceneboundary.samples_from_record(rec)]
 
 
-def _cmd_boundary_train(v: dict, threads: int) -> tuple:
+def _cmd_boundary_train(v: dict) -> tuple:
+    hidden_dims = _parse_sizes(v["hidden"], "hidden")
     dataset = read_dataset(v["data"])
     samples = _boundary_samples(dataset.split("train"))
     if not samples:
@@ -521,7 +530,7 @@ def _cmd_boundary_train(v: dict, threads: int) -> tuple:
         class_weights=_parse_pair(v["weights"], "weights"),
         batch_size=v["batch"], epochs=v["epochs"], max_lr=v["max_lr"],
         seed=v["seed"], val_frac=v["val_frac"],
-        hidden_dims=_parse_int_list(v["hidden"], "hidden"),
+        hidden_dims=hidden_dims,
     )
     model, history = sceneboundary.train_boundary(samples, config)
     out = v["out"]
@@ -537,7 +546,7 @@ def _cmd_boundary_train(v: dict, threads: int) -> tuple:
     return out, [out, hist_path]
 
 
-def _cmd_boundary_eval(v: dict, threads: int) -> tuple:
+def _cmd_boundary_eval(v: dict) -> tuple:
     dataset = read_dataset(v["data"])
     model = sceneboundary.load_boundary_model(v["model"])
     if model.feature_dim != dataset.d_v:
@@ -559,7 +568,7 @@ def _cmd_boundary_eval(v: dict, threads: int) -> tuple:
     return out, [out]
 
 
-def _cmd_report(v: dict, threads: int) -> tuple:
+def _cmd_report(v: dict) -> tuple:
     dataset = read_dataset(v["data"])
     preds = metrics.read_predictions(v["predictions"])
     by_id = {r.id: r for r in dataset.records}
@@ -604,7 +613,7 @@ def run(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        primary, artifacts = _HANDLERS[ns.command](values, ns.threads)
+        primary, artifacts = _HANDLERS[ns.command](values)
         manifest = _write_manifest(primary, ns.command, values, artifacts)
         print(f"manifest: {manifest}")
         return 0

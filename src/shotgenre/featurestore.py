@@ -1,11 +1,17 @@
 """Dataset data model, record-stream (JSON Lines) format, validation, and the
 seeded synthetic generator with planted, recoverable structure.
 
-On-disk format: UTF-8 text, line 1 is a header object carrying the format
-version, genre taxonomy, and the three feature dimensions; every following
-line is one video record. All floats are 32-bit and serialized as the
-shortest decimal that parses back to the identical 32-bit value, so
-read(write(d)) is a bit-exact identity.
+Datasets, embedding tables and prediction sets are versioned JSON Lines
+files, UTF-8, read and written by one codec. ``write_jsonl`` puts
+``format_version`` first on line 1, then the format's header keys, then one
+line per item. ``read_jsonl`` checks line 1 under one rule set: the
+supported version; a ``taxonomy`` that is a list of strings forming a valid
+``GenreTaxonomy`` (non-empty, distinct); each named dimension an ``int`` of
+at least 1. It then yields ``(lineno, object)`` per non-blank line, and every
+error names its line. Each format checks its own lines; an embedding vector
+or a score row must be a list of finite JSON numbers, with no booleans and no
+strings (``finite_vector``). Floats are 32-bit, written as the shortest
+decimal that parses back to the same value, so read(write(d)) is bit-exact.
 
 A shot holds its frames as a ``(frames, d_v)`` float32 array and its optional
 pixel statistics as a ``(frames, 3)`` one, with the columns ``mean_luma,
@@ -33,7 +39,7 @@ occurrence:
 """
 
 import json
-import os
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -488,6 +494,68 @@ def _record_from_obj(obj, lineno: int, tokens: dict):
     return record, tokens_valid
 
 
+def write_jsonl(path, header: dict, lines) -> None:
+    """Write ``header`` after ``format_version`` on line 1, then ``lines``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps({"format_version": FORMAT_VERSION, **header},
+                            separators=(",", ":")) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def read_jsonl(path, item: str, keys):
+    """Yield line 1's checked values for ``keys`` (a taxonomy as a
+    ``GenreTaxonomy``), then ``(lineno, object)`` per non-blank line; a line
+    that is not JSON is a "malformed ``item``". Close it with
+    ``contextlib.closing``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        line = fh.readline()
+        if not line.strip():
+            raise DatasetFormatError("line 1: missing header")
+        try:
+            header = json.loads(line)
+            version = header["format_version"]
+            values = [header[key] for key in keys]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DatasetFormatError(f"line 1: malformed header ({exc})") from exc
+        if version != FORMAT_VERSION:
+            raise DatasetFormatError(f"line 1: unsupported format_version {version!r}")
+        for i, (key, value) in enumerate(zip(keys, values)):
+            if key == "taxonomy":
+                if type(value) is not list or any(type(g) is not str for g in value):
+                    raise DatasetFormatError(
+                        f"line 1: taxonomy must be a list of strings, got {value!r}")
+                try:
+                    values[i] = GenreTaxonomy(tuple(value))
+                except DatasetFormatError as exc:
+                    raise DatasetFormatError(f"line 1: {exc}") from exc
+            elif type(value) is not int or value < 1:
+                raise DatasetFormatError(f"line 1: {key} must be an integer >= 1, got {value!r}")
+        yield values
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip():
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetFormatError(f"line {lineno}: malformed {item} ({exc})") from exc
+                yield lineno, obj
+
+
+def finite_vector(values, length: int, lineno: int, name: str) -> np.ndarray:
+    """``values`` as float32 if it is a list of ``length`` finite JSON
+    numbers; call it under ``np.errstate(over="ignore")``."""
+    try:
+        if (type(values) is list and len(values) == length
+                and {int, float}.issuperset(map(type, values))):
+            vec = _f32(values)  # beyond float32 range: inf, rejected below
+            if _check_finite(vec):
+                return vec
+    except OverflowError:  # an integer beyond float64 range
+        pass
+    raise DatasetFormatError(
+        f"line {lineno}: {name} must be a list of {length} finite numbers, got {values!r}")
+
+
 def write_dataset(dataset: Dataset, path) -> None:
     """Write a validated dataset; raises on the first invalid record.
 
@@ -500,17 +568,9 @@ def write_dataset(dataset: Dataset, path) -> None:
         problems = validate_record(rec, dataset.taxonomy, dims, tokens_checked=checked)
         if problems:
             raise DatasetFormatError("; ".join(problems))
-    header = {
-        "format_version": FORMAT_VERSION,
-        "taxonomy": list(dataset.taxonomy.names),
-        "d_v": dataset.d_v,
-        "d_a": dataset.d_a,
-        "d_l": dataset.d_l,
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for rec in dataset.records:
-            fh.write(_record_json(rec, token_json) + "\n")
+    header = {"taxonomy": list(dataset.taxonomy.names),
+              "d_v": dataset.d_v, "d_a": dataset.d_a, "d_l": dataset.d_l}
+    write_jsonl(path, header, (_record_json(rec, token_json) for rec in dataset.records))
 
 
 def read_dataset(path) -> Dataset:
@@ -520,48 +580,14 @@ def read_dataset(path) -> Dataset:
     malformed lines, dimension mismatches, duplicate ids, or unknown genres.
     The records share one ``Token`` per distinct ``(text, pos)`` pair.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line.strip():
-            raise DatasetFormatError("line 1: missing header")
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"line 1: malformed header ({exc})") from exc
-        try:
-            if header["format_version"] != FORMAT_VERSION:
-                raise DatasetFormatError(
-                    f"line 1: unsupported format_version {header['format_version']!r}"
-                )
-            names = header["taxonomy"]
-            d_v, d_a, d_l = dims = header["d_v"], header["d_a"], header["d_l"]
-        except (KeyError, TypeError) as exc:
-            raise DatasetFormatError(f"line 1: malformed header ({exc})") from exc
-        if type(names) is not list or any(type(g) is not str for g in names):
-            raise DatasetFormatError(f"line 1: taxonomy must be a list of strings, got {names!r}")
-        if any(type(d) is not int for d in dims):
-            raise DatasetFormatError(f"line 1: feature dimensions must be integers, got {dims!r}")
-        try:
-            taxonomy = GenreTaxonomy(tuple(names))
-        except DatasetFormatError as exc:
-            raise DatasetFormatError(f"line 1: {exc}") from exc
-        if min(dims) < 1:
-            raise DatasetFormatError("line 1: feature dimensions must be >= 1")
-
-        records = []
-        seen = set()
-        tokens = {}
+    records = []
+    seen = set()
+    tokens = {}
+    with closing(read_jsonl(path, "record", ("taxonomy", "d_v", "d_a", "d_l"))) as lines:
+        taxonomy, *dims = next(lines)
         # a value beyond float32 range becomes inf, which validation reports
         with np.errstate(over="ignore"):
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DatasetFormatError(f"line {lineno}: malformed record ({exc})") from exc
+            for lineno, obj in lines:
                 rec, checked = _record_from_obj(obj, lineno, tokens)
                 problems = validate_record(rec, taxonomy, dims, tokens_checked=checked)
                 if problems:
@@ -570,55 +596,30 @@ def read_dataset(path) -> Dataset:
                     raise DatasetFormatError(f"line {lineno}: duplicate record id {rec.id!r}")
                 seen.add(rec.id)
                 records.append(rec)
-    return Dataset(taxonomy=taxonomy, d_v=d_v, d_a=d_a, d_l=d_l, records=records)
+    return Dataset(taxonomy, *dims, records=records)
 
 
 def write_embeddings(table: EmbeddingTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = {"format_version": FORMAT_VERSION, "d_l": table.dim}
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for token in sorted(table.vectors):
-            fh.write(f'{{"token":{json.dumps(token)},"vector":{array_json(table.vectors[token])}}}\n')
+    write_jsonl(path, {"d_l": table.dim},
+                (f'{{"token":{json.dumps(token)},"vector":{array_json(table.vectors[token])}}}'
+                 for token in sorted(table.vectors)))
 
 
 def read_embeddings(path) -> EmbeddingTable:
-    """Parse an embedding file under ``read_dataset``'s header rules: the
-    supported format version and an integer dimension of at least 1."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline())
-            version, dim = header["format_version"], header["d_l"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DatasetFormatError(f"line 1: malformed embedding header ({exc})") from exc
-        if version != FORMAT_VERSION:
-            raise DatasetFormatError(f"line 1: unsupported format_version {version!r}")
-        if type(dim) is not int or dim < 1:
-            raise DatasetFormatError(f"line 1: d_l must be an integer >= 1, got {dim!r}")
-        vectors = {}
-        # a value beyond float32 range becomes inf, which is reported below
+    """Parse an embedding file under the module docstring's codec rules."""
+    vectors = {}
+    with closing(read_jsonl(path, "embedding", ("d_l",))) as lines:
+        (dim,) = next(lines)
         with np.errstate(over="ignore"):
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
+            for lineno, obj in lines:
                 try:
-                    obj = json.loads(line)
-                    vec = _f32(obj["vector"])
-                    token = obj["token"]
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                        OverflowError) as exc:
+                    token, values = obj["token"], obj["vector"]
+                except (KeyError, TypeError) as exc:
                     raise DatasetFormatError(f"line {lineno}: malformed embedding ({exc})") from exc
                 if type(token) is not str:
                     raise DatasetFormatError(
                         f"line {lineno}: token must be a string, got {token!r}")
-                if vec.ndim == 0:
-                    raise DatasetFormatError(
-                        f"line {lineno}: vector must be a list, got {obj['vector']!r}")
-                if vec.shape != (dim,):
-                    raise DatasetFormatError(
-                        f"line {lineno}: vector length {vec.shape[0]} != d_l {dim}"
-                    )
-                if not _check_finite(vec):
-                    raise DatasetFormatError(f"line {lineno}: non-finite embedding for {token!r}")
+                vec = finite_vector(values, dim, lineno, "vector")
                 if token in vectors:
                     raise DatasetFormatError(f"line {lineno}: duplicate token {token!r}")
                 vectors[token] = vec

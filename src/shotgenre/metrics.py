@@ -9,11 +9,12 @@ support=0.
 
 import csv
 import json
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .featurestore import FORMAT_VERSION, DatasetFormatError, array_json
+from .featurestore import DatasetFormatError, array_json, finite_vector, read_jsonl, write_jsonl
 
 __all__ = [
     "MetricsSummary",
@@ -199,58 +200,32 @@ def boundary_report(scores, labels) -> dict:
 # ---------------------------------------------------------------------------
 
 def write_predictions(predictions: PredictionSet, path) -> None:
-    header = {"format_version": FORMAT_VERSION, "taxonomy": list(predictions.genres)}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for rid, row in zip(predictions.ids, predictions.scores):
-            fh.write(f'{{"id":{json.dumps(rid)},"scores":{array_json(row)}}}\n')
+    write_jsonl(path, {"taxonomy": list(predictions.genres)},
+                (f'{{"id":{json.dumps(rid)},"scores":{array_json(row)}}}'
+                 for rid, row in zip(predictions.ids, predictions.scores)))
 
 
 def read_predictions(path) -> PredictionSet:
-    """Parse a prediction file under ``read_embeddings``' header rules (the
-    supported format version, and a taxonomy that is a list of distinct
-    strings); every score must be a finite number, not a boolean."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline())
-            version, genres = header["format_version"], header["taxonomy"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DatasetFormatError(f"line 1: malformed prediction header ({exc})") from exc
-        if version != FORMAT_VERSION:
-            raise DatasetFormatError(f"line 1: unsupported format_version {version!r}")
-        if (type(genres) is not list or any(type(g) is not str for g in genres)
-                or len(set(genres)) != len(genres)):
-            raise DatasetFormatError(
-                f"line 1: taxonomy must be a list of distinct strings, got {genres!r}")
-        ids, rows = [], []
-        seen = set()
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                rid = obj["id"]
-                with np.errstate(over="ignore"):  # beyond float32 range: inf, reported below
-                    row = np.asarray(obj["scores"], dtype=np.float32)
-                duplicate = rid in seen
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DatasetFormatError(f"line {lineno}: malformed prediction ({exc})") from exc
-            if duplicate:
-                raise DatasetFormatError(f"line {lineno}: duplicate prediction id {rid!r}")
-            if row.shape != (len(genres),):
-                raise DatasetFormatError(
-                    f"line {lineno}: scores have shape {row.shape}, but the header"
-                    f" taxonomy has {len(genres)} genres"
-                )
-            if (any(type(s) not in (int, float) for s in obj["scores"])
-                    or not np.isfinite(row).all()):
-                raise DatasetFormatError(
-                    f"line {lineno}: scores must be finite numbers, got {obj['scores']!r}")
-            seen.add(rid)
-            ids.append(rid)
-            rows.append(row)
-    scores = np.stack(rows) if rows else np.zeros((0, len(genres)), dtype=np.float32)
-    return PredictionSet(ids=ids, scores=scores, genres=genres)
+    """Parse a prediction file, one score per taxonomy genre, under the
+    codec rules of the ``featurestore`` module docstring."""
+    ids, rows = [], []
+    seen = set()
+    with closing(read_jsonl(path, "prediction", ("taxonomy",))) as lines:
+        (taxonomy,) = next(lines)
+        with np.errstate(over="ignore"):
+            for lineno, obj in lines:
+                try:
+                    rid, values = obj["id"], obj["scores"]
+                    duplicate = rid in seen
+                except (KeyError, TypeError) as exc:
+                    raise DatasetFormatError(f"line {lineno}: malformed prediction ({exc})") from exc
+                if duplicate:
+                    raise DatasetFormatError(f"line {lineno}: duplicate prediction id {rid!r}")
+                rows.append(finite_vector(values, len(taxonomy), lineno, "scores"))
+                seen.add(rid)
+                ids.append(rid)
+    scores = np.stack(rows) if rows else np.zeros((0, len(taxonomy)), dtype=np.float32)
+    return PredictionSet(ids=ids, scores=scores, genres=list(taxonomy.names))
 
 
 def format_report(report: MetricsReport) -> str:

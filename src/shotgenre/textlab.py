@@ -128,25 +128,17 @@ def exclusion_filter(ranked_lists: dict, top_n: int = 20, max_genres: int = 5) -
     }
 
 
-def build_genre_tables(records, taxonomy, eligible_only: bool = True,
-                       executor=None) -> dict:
+def build_genre_tables(records, taxonomy, eligible_only: bool = True) -> dict:
     """One TfidfTable per genre that has at least one record.
 
     A record belongs to every genre it is labeled with, so multi-genre movies
-    contribute to several corpora. Tables are independent per genre; pass a
-    concurrent.futures executor to compute them in parallel.
+    contribute to several corpora.
     """
     corpora = {genre: [] for genre in taxonomy.names}
     for rec in records:
         for genre in rec.genres:
             corpora[genre].append((rec.id, rec.transcript))
-    present = [g for g in taxonomy.names if corpora[g]]
-    if executor is None:
-        tables = [tfidf_scores(g, corpora[g], eligible_only) for g in present]
-    else:
-        futures = [executor.submit(tfidf_scores, g, corpora[g], eligible_only) for g in present]
-        tables = [f.result() for f in futures]
-    return {t.genre: t for t in tables}
+    return {g: tfidf_scores(g, corpora[g], eligible_only) for g in taxonomy.names if corpora[g]}
 
 
 def filtered_genre_rankings(tables: dict, top_n: int = 20, max_genres: int = 5) -> tuple:

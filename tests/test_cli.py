@@ -193,6 +193,27 @@ def test_keywords_and_tfidf(workdir, tmp_path):
     assert "filler0" in ranked and "filler0" not in filtered
 
 
+@pytest.mark.parametrize("command, option, value, named", [
+    ("tfidf", "--limit", "-1", "--limit must be >= 0, got -1"),
+    ("tfidf", "--top-n", "-1", "--top-n must be >= 0, got -1"),
+    ("tfidf", "--max-genres", "-1", "--max-genres must be >= 0, got -1"),
+    ("synth", "--fillers", "-3", "--fillers must be >= 0, got -3"),
+    ("boundary-train", "--hidden", "0", "--hidden: sizes must be >= 1, got '0'"),
+    ("boundary-train", "--hidden", "64,-4", "--hidden: sizes must be >= 1, got '64,-4'"),
+], ids=["limit", "top-n", "max-genres", "fillers", "hidden-zero", "hidden-negative"])
+def test_out_of_range_count_exit_1(workdir, tmp_path, capsys, command, option, value, named):
+    # each used to run on silently, or fail in numpy's words
+    _, data, _ = workdir
+    out = tmp_path / "out"
+    args = {"tfidf": ["--data", str(data), "--out-prefix", str(out)],
+            "synth": ["--out", str(out)],
+            "boundary-train": ["--data", str(data), "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert run([command, *args, option, value]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_slide_and_retrieval(workdir, tmp_path):
     _, data, model = workdir
     out = tmp_path / "slide.csv"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_dataset_text, oracle_embeddings_text, oracle_truth_text
-from shotgenre import featurestore as fs
+from shotgenre import featurestore as fs, metrics
 
 
 def small_config(**kw):
@@ -155,10 +155,10 @@ class TestReadErrors:
         ({"taxonomy": ["A", 2]}, {}, "line 1: taxonomy must be a list of strings"),
         ({"taxonomy": []}, {}, "line 1: taxonomy is empty"),
         ({"taxonomy": ["A", "A"]}, {}, "line 1: taxonomy contains duplicate genre names"),
-        ({"d_v": 2.9}, {}, "line 1: feature dimensions must be integers"),
-        ({"d_v": "2"}, {}, "line 1: feature dimensions must be integers"),
-        ({"d_v": "abc"}, {}, "line 1: feature dimensions must be integers"),
-        ({"d_a": True}, {}, "line 1: feature dimensions must be integers"),
+        ({"d_v": 2.9}, {}, "line 1: d_v must be an integer >= 1, got 2.9"),
+        ({"d_v": "2"}, {}, "line 1: d_v must be an integer >= 1, got '2'"),
+        ({"d_v": "abc"}, {}, "line 1: d_v must be an integer >= 1, got 'abc'"),
+        ({"d_a": True}, {}, "line 1: d_a must be an integer >= 1, got True"),
         ({}, {"id": None}, r"line 2: malformed record \(id must be a string"),
         ({}, {"id": 7}, r"line 2: malformed record \(id must be a string"),
         ({}, {"boundary_flags": [0.7]}, r"line 2: malformed record \(boundary_flags"),
@@ -184,6 +184,15 @@ class TestReadErrors:
         path.write_text("", encoding="utf-8")
         with pytest.raises(fs.DatasetFormatError, match="header"):
             fs.read_dataset(path)
+
+    @pytest.mark.parametrize("read", [fs.read_embeddings, metrics.read_predictions],
+                             ids=["embeddings", "predictions"])
+    def test_zero_byte_file_other_formats(self, tmp_path, read):
+        # both used to report a JSON decode error on line 1
+        path = tmp_path / "z.jsonl"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(fs.DatasetFormatError, match="^line 1: missing header$"):
+            read(path)
 
 
 class TestValidateRecord:
@@ -665,9 +674,15 @@ class TestSatelliteErrors:
         ({"d_l": 2.7}, None, r"line 1: d_l must be an integer >= 1, got 2.7"),
         ({"d_l": 0}, None, r"line 1: d_l must be an integer >= 1, got 0"),
         ({"format_version": 9}, None, "line 1: unsupported format_version 9"),
-        ({}, {"token": "a", "vector": [1e39]}, "line 2: non-finite embedding for 'a'"),
-        ({}, {"token": "a", "vector": 5}, "line 2: vector must be a list, got 5"),
-    ], ids=["token-int", "token-list", "dim-float", "dim-zero", "version", "overflow", "scalar"])
+        ({}, {"token": "a", "vector": [1e39]},
+         r"line 2: vector must be a list of 1 finite numbers, got \[1e\+39\]"),
+        ({}, {"token": "a", "vector": 5}, "line 2: vector must be a list of 1 finite numbers, got 5"),
+        ({}, {"token": "a", "vector": ["0.5"]},
+         r"line 2: vector must be a list of 1 finite numbers, got \['0.5'\]"),
+        ({}, {"token": "a", "vector": [True]},
+         r"line 2: vector must be a list of 1 finite numbers, got \[True\]"),
+    ], ids=["token-int", "token-list", "dim-float", "dim-zero", "version", "overflow", "scalar",
+            "string", "bool"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_read_embeddings_rejects(self, tmp_path, header, line, named):
         head = {"format_version": 1, "d_l": 1, **header}

@@ -212,7 +212,7 @@ class TestPredictionFiles:
 
     def test_row_width_checked_against_taxonomy(self, tmp_path):
         path = self._prediction_file(tmp_path, [("r0", [0.1, 0.2]), ("r1", [0.3, 0.4, 0.5])])
-        with pytest.raises(DatasetFormatError, match="line 3: .*2 genres"):
+        with pytest.raises(DatasetFormatError, match="line 3: scores must be a list of 2 finite"):
             metrics.read_predictions(path)
 
     def test_write_matches_oracle_bytes(self, tmp_path):
@@ -236,30 +236,40 @@ class TestPredictionFiles:
         with pytest.raises(DatasetFormatError, match="line 1: unsupported format_version 9"):
             metrics.read_predictions(path)
 
-    @pytest.mark.parametrize("taxonomy", ["A", ["A", "A"], ["A", 1], None])
-    def test_taxonomy_not_distinct_strings_rejected(self, tmp_path, taxonomy):
-        # a string taxonomy used to be split into its characters
+    @pytest.mark.parametrize("taxonomy, named", [
+        ("A", "taxonomy must be a list of strings, got 'A'"),
+        (["A", "A"], "taxonomy contains duplicate genre names"),
+        (["A", 1], "taxonomy must be a list of strings, got ['A', 1]"),
+        (None, "taxonomy must be a list of strings, got None"),
+        ([], "taxonomy is empty"),
+    ], ids=["A", "taxonomy1", "taxonomy2", "None", "empty"])
+    def test_taxonomy_not_distinct_strings_rejected(self, tmp_path, taxonomy, named):
+        # a string taxonomy used to be split into its characters, and an
+        # empty one to load as zero genres
         path = self._header_file(tmp_path, {"format_version": 1, "taxonomy": taxonomy})
-        with pytest.raises(DatasetFormatError,
-                           match="line 1: taxonomy must be a list of distinct strings"):
+        with pytest.raises(DatasetFormatError) as err:
             metrics.read_predictions(path)
+        assert str(err.value) == f"line 1: {named}"
 
     @pytest.mark.parametrize("score", [float("nan"), 1e39, -1e39, float("inf")])
     def test_non_finite_score_rejected(self, tmp_path, score):
         # under the suite's error::RuntimeWarning filter, so 1e39 must not warn
         path = self._prediction_file(tmp_path, [("r0", [0.1, 0.2]), ("r1", [0.3, score])])
-        with pytest.raises(DatasetFormatError, match="line 3: scores must be finite numbers"):
+        with pytest.raises(DatasetFormatError,
+                           match="line 3: scores must be a list of 2 finite numbers"):
             metrics.read_predictions(path)
 
     @pytest.mark.parametrize("score", [True, False, "0.5"])
     def test_non_number_score_rejected(self, tmp_path, score):
         path = self._prediction_file(tmp_path, [("r0", [score, 0.2])])
-        with pytest.raises(DatasetFormatError, match="line 2: scores must be finite numbers"):
+        with pytest.raises(DatasetFormatError,
+                           match="line 2: scores must be a list of 2 finite numbers"):
             metrics.read_predictions(path)
 
     def test_huge_integer_score_rejected(self, tmp_path):
         path = self._prediction_file(tmp_path, [("r0", [10 ** 400, 0.2])])
-        with pytest.raises(DatasetFormatError, match="line 2: malformed prediction"):
+        with pytest.raises(DatasetFormatError,
+                           match="line 2: scores must be a list of 2 finite numbers"):
             metrics.read_predictions(path)
 
     def test_report_csv_quotes_fields(self, tmp_path):

@@ -173,19 +173,6 @@ class TestPlantedPipeline:
         for table in tables.values():
             assert not any(w.startswith("junk") for w in table.vocabulary)
 
-    def test_parallel_equals_serial(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        cfg = fs.SynthConfig(num_videos=40, num_genres=4)
-        ds, _, _ = fs.synth_dataset(cfg, seed=9)
-        serial = textlab.build_genre_tables(ds.records, ds.taxonomy)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = textlab.build_genre_tables(ds.records, ds.taxonomy, executor=pool)
-        assert serial.keys() == parallel.keys()
-        for g in serial:
-            assert serial[g].vocabulary == parallel[g].vocabulary
-            np.testing.assert_array_equal(serial[g].scores, parallel[g].scores)
-
     def test_ranked_csv(self, tmp_path):
         rankings = {"A": [("x", 2.0), ("y", 1.0)], "B": [("z", 3.0)]}
         path = tmp_path / "rank.csv"
