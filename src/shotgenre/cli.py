@@ -513,26 +513,28 @@ def _cmd_pixstats(v: dict) -> tuple:
     return out, [out]
 
 
-def _boundary_samples(records) -> list:
-    """Boundary samples of every annotated record with at least one window."""
-    return [sample for rec in records
-            if rec.boundary_flags is not None and len(rec.shots) >= sceneboundary.WINDOW
-            for sample in sceneboundary.samples_from_record(rec)]
+def _boundary_samples(records, none_message: str) -> tuple:
+    """The ``(x, y)`` boundary samples of every annotated record with at least
+    one window, in record order; raises ``none_message`` if there are none."""
+    pairs = [sceneboundary.samples_from_record(rec) for rec in records
+             if rec.boundary_flags is not None and len(rec.shots) >= sceneboundary.WINDOW]
+    if not pairs:
+        raise ValueError(none_message)
+    return tuple(map(np.concatenate, zip(*pairs)))
 
 
 def _cmd_boundary_train(v: dict) -> tuple:
     hidden_dims = _parse_sizes(v["hidden"], "hidden")
     dataset = read_dataset(v["data"])
-    samples = _boundary_samples(dataset.split("train"))
-    if not samples:
-        raise ValueError("no annotated records (boundary_flags) in split 'train'")
+    x, y = _boundary_samples(dataset.split("train"),
+                             "no annotated records (boundary_flags) in split 'train'")
     config = sceneboundary.BoundaryTrainConfig(
         class_weights=_parse_pair(v["weights"], "weights"),
         batch_size=v["batch"], epochs=v["epochs"], max_lr=v["max_lr"],
         seed=v["seed"], val_frac=v["val_frac"],
         hidden_dims=hidden_dims,
     )
-    model, history = sceneboundary.train_boundary(samples, config)
+    model, history = sceneboundary.train_boundary(x, y, config)
     out = v["out"]
     sceneboundary.save_boundary_model(model, out)
     hist_path = f"{out}.history.csv"
@@ -555,16 +557,14 @@ def _cmd_boundary_eval(v: dict) -> tuple:
             f"dataset provides {dataset.d_v}"
         )
     records = dataset.records if v["split"] is None else dataset.split(v["split"])
-    samples = _boundary_samples(records)
-    if not samples:
-        raise ValueError("no annotated records to evaluate")
-    result = sceneboundary.eval_boundary(model, samples)
+    x, y = _boundary_samples(records, "no annotated records to evaluate")
+    result = sceneboundary.eval_boundary(model, x, y)
     out = v["out"]
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump({k: result[k] for k in sorted(result)}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"boundary eval: ap={result['ap']:.4f} recall@0.5={result['recall_at_05']:.4f} "
-          f"({result['positives']} positives, {len(samples)} samples)")
+          f"({result['positives']} positives, {len(y)} samples)")
     return out, [out]
 
 

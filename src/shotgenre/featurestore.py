@@ -68,7 +68,6 @@ __all__ = [
     "read_embeddings",
     "write_embeddings",
     "synth_dataset",
-    "resplit",
 ]
 
 POS_TAGS = ("NOUN", "PRON", "ADJ", "VERB", "ADV", "OTHER")
@@ -308,6 +307,11 @@ def _token_problems(text, pos) -> list:
     return problems
 
 
+def valid_flags(flags) -> bool:
+    """Whether every boundary flag is the integer 0 or 1 (a bool is not)."""
+    return all(type(b) is int and b in (0, 1) for b in flags)
+
+
 def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims, *,
                     tokens_checked: bool = False) -> list:
     """Return ALL violations (empty list means the record is valid).
@@ -375,7 +379,7 @@ def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims, *,
                 f"record {rid}: boundary_flags length {len(record.boundary_flags)}"
                 f" != shots-1 ({len(record.shots) - 1})"
             )
-        if any(type(b) is not int or b not in (0, 1) for b in record.boundary_flags):
+        if not valid_flags(record.boundary_flags):
             problems.append(f"record {rid}: boundary_flags must be integers 0 or 1, "
                             f"got {record.boundary_flags!r}")
     return problems
@@ -475,8 +479,7 @@ def _record_from_obj(obj, lineno: int, tokens: dict):
         if type(obj["id"]) is not str:
             raise ValueError(f"id must be a string, got {obj['id']!r}")
         flags = obj.get("boundary_flags")
-        if flags is not None and (type(flags) is not list
-                                  or any(type(b) is not int or b not in (0, 1) for b in flags)):
+        if flags is not None and (type(flags) is not list or not valid_flags(flags)):
             raise ValueError(f"boundary_flags must be a list of integers 0 or 1, got {flags!r}")
         record = VideoRecord(
             id=obj["id"],
@@ -880,15 +883,3 @@ def _planted_pixel_stats(active, G, n_frames, rng) -> np.ndarray:
         row[0] = min(max(luma_base + 0.05 * rng.normal(), 0.0), 1.0)
         row[1:] = rng.dirichlet((warm_alpha, cold_alpha, 2.0))[:2]
     return stats
-
-
-def resplit(dataset: Dataset, seed: int) -> Dataset:
-    """Re-draw train/val/test tags at the 7:1:2 ratio from a seed; returns a
-    new Dataset sharing the shot/audio/transcript payloads."""
-    tags = _assign_splits(len(dataset.records), spawn_rng(seed, "resplit"))
-    records = [
-        VideoRecord(r.id, tags[i], r.genres, r.shots, r.audio_embedding,
-                    r.transcript, r.boundary_flags)
-        for i, r in enumerate(dataset.records)
-    ]
-    return Dataset(dataset.taxonomy, dataset.d_v, dataset.d_a, dataset.d_l, records)

@@ -94,8 +94,10 @@ class TrainConfig:
         for name in ("d_h", "batch_size", "shots_per_video", "frames_per_shot", "keywords_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.epochs < 0 or self.max_lr <= 0 or not (0.0 <= self.dropout < 1.0):
-            raise ValueError("invalid epochs / max_lr / dropout")
+        if self.epochs < 0 or not (0.0 <= self.dropout < 1.0):
+            raise ValueError("invalid epochs / dropout")
+        if not 0 < self.max_lr < np.inf:
+            raise ValueError(f"max_lr must be finite and > 0, got {self.max_lr!r}")
         canonical_modalities(self.modalities)
 
 
@@ -324,10 +326,11 @@ def loss_and_grads(model: GenreModel, inputs: dict, labels, masks: dict = None) 
 
 
 def grad_check_closure(model: GenreModel, inputs: dict, labels) -> tuple:
-    """(loss_fn, x0) for :func:`nn.grad_check`: the training loss as a float64
-    function of the flattened parameter vector."""
+    """(loss_fn, x0, g0) for :func:`nn.grad_check`: the training loss as a
+    float64 function of the flattened parameter vector, and its gradient."""
     clone = copy.deepcopy(model)
-    return nn.grad_check_closure(_mlps(clone), lambda: loss_and_grads(clone, inputs, labels))
+    return nn.grad_check_closure(_mlps(clone), lambda: training_loss(clone, inputs, labels),
+                                 lambda: loss_and_grads(clone, inputs, labels))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ def average_precision(scores, labels) -> float:
         raise ValueError(f"scores shape {s.shape} != labels shape {y.shape}")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be 0/1")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("scores must be finite")
     positives = int(y.sum())
     if positives == 0:
         return 0.0

@@ -438,11 +438,11 @@ class GradCheckResult:
                 f"checked={self.rel_errors.size - len(self.skipped)}, skipped={len(self.skipped)})")
 
 
-def grad_check(loss_fn, params, h: float = 1e-4) -> GradCheckResult:
-    """Compare an analytic gradient against central finite differences.
-
-    ``loss_fn(x) -> (loss, grad)`` over a flat float64 parameter vector.
-    Relative error per coordinate is ``|a - n| / max(1e-8, |a| + |n|)``.
+def grad_check(loss_fn, params, grad, h: float = 1e-4) -> GradCheckResult:
+    """Compare the analytic gradient ``grad`` at ``params`` against central
+    finite differences of ``loss_fn(x) -> loss`` over a flat float64
+    parameter vector. Relative error per coordinate is
+    ``|a - n| / max(1e-8, |a| + |n|)``.
 
     Kink handling (the documented ReLU caveat): for a smooth function the
     forward/backward one-sided disagreement is ~h*f'' and halves when the
@@ -452,8 +452,8 @@ def grad_check(loss_fn, params, h: float = 1e-4) -> GradCheckResult:
     away to evade that detector cannot reach.
     """
     x0 = np.asarray(params, dtype=np.float64).ravel().copy()
-    f0, g0 = loss_fn(x0)
-    g0 = np.asarray(g0, dtype=np.float64).ravel()
+    f0 = loss_fn(x0)
+    g0 = np.asarray(grad, dtype=np.float64).ravel()
     if g0.shape != x0.shape:
         raise ValueError("analytic gradient shape mismatch")
     n_coords = x0.size
@@ -465,7 +465,7 @@ def grad_check(loss_fn, params, h: float = 1e-4) -> GradCheckResult:
 
         def f_at(offset):
             x[i] = x0[i] + offset
-            return loss_fn(x)[0]
+            return loss_fn(x)
 
         f_p1, f_m1 = f_at(h), f_at(-h)
         f_p2, f_m2 = f_at(h / 2), f_at(-h / 2)
@@ -481,19 +481,20 @@ def grad_check(loss_fn, params, h: float = 1e-4) -> GradCheckResult:
     return GradCheckResult(max_rel_error=max_err, rel_errors=rel, skipped=skipped)
 
 
-def grad_check_closure(nets, loss_and_grads) -> tuple:
-    """``(loss_fn, x0)`` for :func:`grad_check` over the parameters of
+def grad_check_closure(nets, loss, loss_and_grads) -> tuple:
+    """``(loss_fn, x0, g0)`` for :func:`grad_check` over the parameters of
     ``nets``: ``loss_fn`` installs the flat vector into ``nets`` as float64
-    arrays and returns ``loss_and_grads()`` with its gradients flattened.
-    The nets are overwritten, so pass a copy of the model."""
+    arrays and returns ``loss()``, and ``g0`` is the flattened gradient of
+    ``loss_and_grads()`` at ``x0``. The nets are overwritten, so pass a copy
+    of the model."""
     x0, shapes = flatten_arrays(mlp_params(nets))
 
     def fn(vec):
         set_mlp_params(nets, unflatten_vector(vec, shapes))
-        loss, grads = loss_and_grads()
-        return loss, flatten_arrays(grads)[0]
+        return loss()
 
-    return fn, x0
+    set_mlp_params(nets, unflatten_vector(x0, shapes))
+    return fn, x0, flatten_arrays(loss_and_grads()[1])[0]
 
 
 def flatten_arrays(arrays) -> tuple:

@@ -3,7 +3,9 @@ sequences, the fixed MLP classifier, class-weighted training, and
 evaluation.
 
 A sample is four consecutive shot features; the label says whether a scene
-boundary sits between the middle two shots. The classifier is an MLP
+boundary sits between the middle two shots. Samples travel as one ``(x, y)``
+pair: row i of the float32 matrix ``x`` is one sample's four shots
+flattened, and ``y[i]`` is its int64 label. The classifier is an MLP
 (4*d - 4096 - 1024 - 2 by default, hidden sizes configurable for toy runs)
 with a softmax head trained with weighted cross-entropy, boundary weighted
 10:1 over non-boundary. The loop is :func:`nn.fit` and the parameters go
@@ -18,10 +20,9 @@ import numpy as np
 
 from . import aggregate, metrics, nn
 from ._rng import spawn_rng
-from .featurestore import VideoRecord
+from .featurestore import VideoRecord, valid_flags
 
 __all__ = [
-    "BoundarySample",
     "BoundaryModel",
     "BoundaryTrainConfig",
     "build_samples",
@@ -39,51 +40,34 @@ __all__ = [
 WINDOW = 4  # shots per sample; the label refers to the gap between shots 2 and 3
 
 
-@dataclass
-class BoundarySample:
-    shots: np.ndarray  # (4, d) float32
-    label: int         # 1 = scene boundary between shots[1] and shots[2]
+def build_samples(shot_features, boundary_flags) -> tuple:
+    """``(x, y)`` with one sample per run of four consecutive shots.
 
-    def __post_init__(self):
-        self.shots = np.asarray(self.shots, dtype=np.float32)
-        if self.shots.ndim != 2 or self.shots.shape[0] != WINDOW:
-            raise ValueError(f"expected (4, d) shot features, got {self.shots.shape}")
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0/1, got {self.label}")
-
-
-def build_samples(shot_features, boundary_flags) -> list:
-    """One sample per run of four consecutive shots.
-
-    ``boundary_flags[j]`` marks a boundary between shots j and j+1; the
-    sample starting at shot i is labeled with ``boundary_flags[i+1]``.
+    ``boundary_flags[j]`` marks a boundary between shots j and j+1 and must
+    be the integer 0 or 1. Row i of the ``(n - 3, 4*d)`` float32 ``x`` is
+    shots i..i+3 flattened; its int64 label ``y[i]`` is ``boundary_flags[i+1]``.
     """
     feats = np.asarray(shot_features, dtype=np.float32)
-    flags = [int(b) for b in boundary_flags]
+    flags = list(boundary_flags)
+    if feats.ndim != 2 or feats.shape[0] < WINDOW:
+        raise ValueError(f"need (n, d) shot features with n >= {WINDOW}, got {feats.shape}")
     n = feats.shape[0]
-    if n < WINDOW:
-        raise ValueError(f"need at least {WINDOW} shots, got {n}")
     if len(flags) != n - 1:
         raise ValueError(f"expected {n - 1} boundary flags, got {len(flags)}")
-    return [
-        BoundarySample(shots=feats[i:i + WINDOW], label=flags[i + 1])
-        for i in range(n - WINDOW + 1)
-    ]
+    if not valid_flags(flags):
+        raise ValueError(f"boundary flags must be integers 0 or 1, got {flags!r}")
+    count = n - WINDOW + 1
+    x = np.concatenate([feats[k:k + count] for k in range(WINDOW)], axis=1)
+    return x, np.array(flags[1:count + 1], dtype=np.int64)
 
 
-def samples_from_record(record: VideoRecord) -> list:
-    """Build samples from an annotated record (one with ``boundary_flags``);
+def samples_from_record(record: VideoRecord) -> tuple:
+    """:func:`build_samples` of an annotated record (one with ``boundary_flags``);
     shot features are the all-frame means of :func:`aggregate.pack_records`."""
     if record.boundary_flags is None:
         raise ValueError(f"record {record.id} carries no boundary_flags")
     feats = aggregate.pack_records([record], None).shot_features
     return build_samples(feats, record.boundary_flags)
-
-
-def _stack(samples) -> tuple:
-    x = np.stack([s.shots.reshape(-1) for s in samples]).astype(np.float64)
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +92,8 @@ def _boundary_model(feature_dim: int, hidden_dims, rng) -> BoundaryModel:
                          feature_dim=feature_dim, hidden_dims=tuple(hidden_dims))
 
 
-def predict_boundary(model: BoundaryModel, samples) -> np.ndarray:
-    """Boundary-class probability per sample (softmax component 1)."""
-    x, _ = _stack(list(samples))
+def predict_boundary(model: BoundaryModel, x) -> np.ndarray:
+    """Boundary-class probability per row of ``x`` (softmax component 1)."""
     probs, _ = nn.mlp_forward(model.mlp, x)
     return probs[:, 1].astype(np.float32)
 
@@ -126,50 +109,56 @@ class BoundaryTrainConfig:
     hidden_dims: tuple = (4096, 1024)
 
     def validate(self):
-        if self.batch_size < 1 or self.epochs < 0 or self.max_lr <= 0:
-            raise ValueError("invalid batch_size / epochs / max_lr")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ValueError("invalid batch_size / epochs")
+        if not 0 < self.max_lr < np.inf:
+            raise ValueError(f"max_lr must be finite and > 0, got {self.max_lr!r}")
         if not (0.0 < self.val_frac < 1.0):
             raise ValueError("val_frac must be in (0, 1)")
-        if min(self.class_weights) <= 0:
-            raise ValueError("class weights must be positive")
+        if not all(0 < w < np.inf for w in self.class_weights):
+            raise ValueError(f"class_weights must be finite and > 0, got {self.class_weights!r}")
 
 
-def _loss_and_grads(model: BoundaryModel, x, y, weights) -> tuple:
+def _loss(model: BoundaryModel, x, y, weights) -> tuple:
+    """The weighted-CE loss, its gradient for the logits, the logits net and
+    its forward cache."""
     # The softmax lives in the network head; a linear-head view of the same
     # layers gives the logits, so the weighted-CE grad flows back exactly.
     logits_net = nn.Mlp(model.mlp.layers, model.mlp.activations[:-1] + ["linear"])
     logits, cache = nn.mlp_forward(logits_net, x)
-    loss, d_logits = nn.weighted_ce_loss(logits, y, weights)
+    return (*nn.weighted_ce_loss(logits, y, weights), logits_net, cache)
+
+
+def _loss_and_grads(model: BoundaryModel, x, y, weights) -> tuple:
+    loss, d_logits, logits_net, cache = _loss(model, x, y, weights)
     grads, _ = nn.backward(logits_net, cache, d_logits)
     return loss, [g for pair in grads for g in pair]
 
 
-def grad_check_closure(model: BoundaryModel, samples, class_weights=(10.0, 1.0)) -> tuple:
-    """(loss_fn, x0) for :func:`nn.grad_check` over the weighted-CE loss."""
+def grad_check_closure(model: BoundaryModel, x, y, class_weights=(10.0, 1.0)) -> tuple:
+    """(loss_fn, x0, g0) for :func:`nn.grad_check` over the weighted-CE loss of ``(x, y)``."""
     clone = copy.deepcopy(model)
-    x, y = _stack(list(samples))
-    return nn.grad_check_closure([clone.mlp], lambda: _loss_and_grads(clone, x, y, class_weights))
+    return nn.grad_check_closure([clone.mlp], lambda: _loss(clone, x, y, class_weights)[0],
+                                 lambda: _loss_and_grads(clone, x, y, class_weights))
 
 
-def train_boundary(samples, config: BoundaryTrainConfig) -> tuple:
-    """Weighted-CE training over a seeded train/val split of ``samples``;
+def train_boundary(x, y, config: BoundaryTrainConfig) -> tuple:
+    """Weighted-CE training over a seeded train/val split of the samples ``(x, y)``;
     returns (model, history) with the best-validation-AP parameters."""
     config.validate()
-    samples = list(samples)
-    if len(samples) < 2:
+    if len(y) < 2:
         raise ValueError("need at least 2 samples")
-    x, y = _stack(samples)
-    d = samples[0].shots.shape[1]
 
     rng_split = spawn_rng(config.seed, "boundary/split")
-    perm = rng_split.permutation(len(samples))
-    n_val = max(1, int(round(config.val_frac * len(samples))))
+    perm = rng_split.permutation(len(y))
+    n_val = max(1, int(round(config.val_frac * len(y))))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     y_train = y[train_idx]
     if y_train.sum() == 0 or y_train.sum() == len(y_train):
         raise ValueError("degenerate train split: needs both boundary and non-boundary samples")
 
-    model = make_boundary_model(d, hidden_dims=config.hidden_dims, seed=config.seed)
+    model = make_boundary_model(x.shape[1] // WINDOW, hidden_dims=config.hidden_dims,
+                                seed=config.seed)
 
     def batch_loss(idx):
         rows = train_idx[idx]
@@ -186,14 +175,11 @@ def train_boundary(samples, config: BoundaryTrainConfig) -> tuple:
     return model, history
 
 
-def eval_boundary(model: BoundaryModel, samples) -> dict:
-    """AP and Recall@0.5 of the boundary-class probabilities."""
-    samples = list(samples)
-    if not samples:
+def eval_boundary(model: BoundaryModel, x, y) -> dict:
+    """AP and Recall@0.5 of the boundary-class probabilities of ``(x, y)``."""
+    if len(y) == 0:
         raise ValueError("empty sample set")
-    scores = predict_boundary(model, samples)
-    labels = np.array([s.label for s in samples])
-    return metrics.boundary_report(scores, labels)
+    return metrics.boundary_report(predict_boundary(model, x), y)
 
 
 def save_boundary_model(model: BoundaryModel, path) -> None:

@@ -61,6 +61,22 @@ def oracle_window_spans(n, window, stride):
     return spans
 
 
+def oracle_boundary_samples(features, flags):
+    """The sample starting at shot i, for every i with four shots from it:
+    its row copies the values of shots i, i+1, i+2, i+3 one at a time, and
+    its label is the flag of the gap between shots i+1 and i+2."""
+    n, d = len(features), len(features[0])
+    rows, labels = [], []
+    for i in range(n - 3):
+        row = np.empty(4 * d, dtype=np.float32)
+        for k in range(4):
+            for j in range(d):
+                row[k * d + j] = features[i + k][j]
+        rows.append(row)
+        labels.append(flags[i + 1])
+    return np.array(rows, dtype=np.float32).reshape(n - 3, 4 * d), np.array(labels, dtype=np.int64)
+
+
 def oracle_adam_step(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Out-of-place Adam with bias correction over lists of arrays (float32
     parameters, float64 moments). Returns (new params, new m, new v)."""

@@ -72,16 +72,17 @@ def test_criterion_2_gradient_suite():
                                             d_h=6, seed=1000 + i)
             inputs = {m: rng.normal(size=(2, d)) for m, d in dims.items()}
             labels = rng.integers(0, 2, size=(2, 4)).astype(float)
-            fn, x0 = fusion.grad_check_closure(model, inputs, labels)
-            worst = max(worst, nn.grad_check(fn, x0).max_rel_error)
+            fn, x0, g0 = fusion.grad_check_closure(model, inputs, labels)
+            worst = max(worst, nn.grad_check(fn, x0, g0).max_rel_error)
         assert worst < 1e-4, f"{strategy}: max relative error {worst:.3e}"
     worst = 0.0
     for i in range(100):
         model = sb.make_boundary_model(3, hidden_dims=(6, 4), seed=2000 + i)
-        samples = [sb.BoundarySample(rng.normal(size=(4, 3)).astype(np.float32),
-                                     int(rng.integers(0, 2))) for _ in range(2)]
-        fn, x0 = sb.grad_check_closure(model, samples)
-        worst = max(worst, nn.grad_check(fn, x0).max_rel_error)
+        draws = [(rng.normal(size=(4, 3)), int(rng.integers(0, 2))) for _ in range(2)]
+        x = np.array([shots.reshape(-1) for shots, _ in draws], dtype=np.float32)
+        y = np.array([label for _, label in draws], dtype=np.int64)
+        fn, x0, g0 = sb.grad_check_closure(model, x, y)
+        worst = max(worst, nn.grad_check(fn, x0, g0).max_rel_error)
     assert worst < 1e-4, f"boundary: max relative error {worst:.3e}"
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
@@ -210,22 +211,24 @@ def test_criterion_8_boundary_detection():
     sequences, _ = sb.synth_boundary_sequences(num_sequences=60, shots_per_sequence=43,
                                                feature_dim=16, boundary_prob=1 / 11,
                                                seed=5)
-    train_samples = [s for feats, flags in sequences[:50]
-                     for s in sb.build_samples(feats, flags)]
-    held_out = [s for feats, flags in sequences[50:]
-                for s in sb.build_samples(feats, flags)]
-    labels = np.array([s.label for s in train_samples])
-    assert len(train_samples) == 2000
-    ratio = (len(labels) - labels.sum()) / labels.sum()
+
+    def samples(part):
+        xs, ys = zip(*(sb.build_samples(feats, flags) for feats, flags in part))
+        return np.concatenate(xs), np.concatenate(ys)
+
+    x_train, y_train = samples(sequences[:50])
+    x_held, y_held = samples(sequences[50:])
+    assert len(y_train) == 2000
+    ratio = (len(y_train) - y_train.sum()) / y_train.sum()
     assert 7 <= ratio <= 15  # about 1:10
 
     config = sb.BoundaryTrainConfig(epochs=5, seed=2)  # default 4096-1024-2 head
     start = time.monotonic()
-    model, history = sb.train_boundary(train_samples, config)
+    model, history = sb.train_boundary(x_train, y_train, config)
     elapsed = time.monotonic() - start
     assert len(history) <= 50
     assert elapsed < 60.0, f"boundary training took {elapsed:.1f}s"
-    result = sb.eval_boundary(model, held_out)
+    result = sb.eval_boundary(model, x_held, y_held)
     assert result["ap"] >= 0.90, f"held-out AP {result['ap']:.4f}"
     assert result["recall_at_05"] >= 0.80, f"recall@0.5 {result['recall_at_05']:.4f}"
 

@@ -318,6 +318,24 @@ class TestBoundaryCommands:
                     "--hidden", "4", "--seed", "0"]) == 1
 
 
+    @pytest.mark.parametrize("command, option, value, named", [
+        ("train", "--max-lr", "nan", "max_lr must be finite and > 0, got nan"),
+        ("train", "--max-lr", "inf", "max_lr must be finite and > 0, got inf"),
+        ("boundary-train", "--max-lr", "nan", "max_lr must be finite and > 0, got nan"),
+        ("boundary-train", "--weights", "nan,1",
+         "class_weights must be finite and > 0, got (nan, 1.0)"),
+        ("boundary-train", "--weights", "inf,1",
+         "class_weights must be finite and > 0, got (inf, 1.0)"),
+    ], ids=["train-lr-nan", "train-lr-inf", "boundary-lr-nan", "weights-nan", "weights-inf"])
+    def test_nonfinite_rate_or_weights_exit_1(self, workdir, annotated, tmp_path, capsys,
+                                              command, option, value, named):
+        data = workdir[1] if command == "train" else annotated[1]
+        capsys.readouterr()
+        assert run([command, "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                    "--epochs", "1", option, value]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert os.listdir(tmp_path) == []
+
     def test_eval_short_checkpoint_exit_1(self, annotated, tmp_path, capsys):
         from shotgenre import nn, sceneboundary as sb
 

@@ -344,17 +344,6 @@ class TestTokenSharing:
         assert not ids[0] & ids[1]
 
 
-class TestResplit:
-    def test_ratio_and_determinism(self, small):
-        ds, _, _ = small
-        again = fs.resplit(ds, seed=4)
-        assert fs.resplit(ds, seed=4) == again
-        assert {r.id for r in again.records} == {r.id for r in ds.records}
-        assert again != ds or [r.split for r in again.records] == [r.split for r in ds.records]
-        assert all(r.split in fs.SPLITS for r in again.records)
-        assert len(again.split("val")) >= 1
-
-
 # ---------------------------------------------------------------------------
 # the record writer and reader fast paths
 # ---------------------------------------------------------------------------

@@ -179,8 +179,8 @@ class TestTrainingLoss:
                 model = toy_model(strategy, seed=100 + i, d_h=6)
                 inputs = toy_inputs(rng, batch=3)
                 labels = rng.integers(0, 2, size=(3, 4)).astype(float)
-                fn, x0 = fusion.grad_check_closure(model, inputs, labels)
-                worst = max(worst, nn.grad_check(fn, x0).max_rel_error)
+                fn, x0, g0 = fusion.grad_check_closure(model, inputs, labels)
+                worst = max(worst, nn.grad_check(fn, x0, g0).max_rel_error)
             assert worst < 1e-4, f"{strategy}: {worst}"
 
     @pytest.mark.parametrize("strategy", fusion.STRATEGIES)

@@ -53,6 +53,11 @@ class TestAveragePrecision:
         with pytest.raises(ValueError):
             metrics.average_precision([0.1], [2])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            metrics.average_precision([bad, 0.2, 0.9], [0, 1, 1])
+
 
 def make_predictions(scores, ids=None, genres=("A", "B")):
     scores = np.asarray(scores, dtype=np.float32)

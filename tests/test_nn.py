@@ -96,9 +96,9 @@ class TestBceLoss:
         y = rng.integers(0, 2, size=4).astype(float)
 
         def fn(x):
-            return nn.bce_loss(x, y)
+            return nn.bce_loss(x, y)[0]
 
-        res = nn.grad_check(fn, p, h=1e-6)
+        res = nn.grad_check(fn, p, nn.bce_loss(p, y)[1], h=1e-6)
         assert res.max_rel_error < 1e-6
 
     def test_length_mismatch(self):
@@ -146,9 +146,10 @@ class TestWeightedCeLoss:
         logits = rng.normal(size=2)
 
         def fn(x):
-            return nn.weighted_ce_loss(x, 1, (10.0, 1.0))
+            return nn.weighted_ce_loss(x, 1, (10.0, 1.0))[0]
 
-        assert nn.grad_check(fn, logits, h=1e-6).max_rel_error < 1e-6
+        grad = nn.weighted_ce_loss(logits, 1, (10.0, 1.0))[1]
+        assert nn.grad_check(fn, logits, grad, h=1e-6).max_rel_error < 1e-6
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -182,13 +183,14 @@ class TestBackward:
                 i += 2
             out, cache = nn.mlp_forward(net, x)
             loss, d_out = nn.bce_loss(out, y)
-            grads, _ = nn.backward(net, cache, d_out)
-            flat = np.concatenate([g.ravel() for pair in grads for g in pair])
-            return loss, flat
+            return loss, cache, d_out
 
         x0 = np.concatenate([a.astype(np.float64).ravel()
                              for layer in net.layers for a in (layer.weights, layer.bias)])
-        return fn, x0
+        _, cache, d_out = fn(x0)
+        grads, _ = nn.backward(net, cache, d_out)
+        g0 = np.concatenate([g.ravel() for pair in grads for g in pair])
+        return lambda vec: fn(vec)[0], x0, g0
 
     def test_random_nets_match_finite_differences(self):
         rng = np.random.default_rng(20)
@@ -198,8 +200,8 @@ class TestBackward:
             net = make_net(dims, ["relu", "sigmoid"], seed=i)
             x = rng.normal(size=(2, dims[0]))
             y = rng.integers(0, 2, size=(2, dims[-1])).astype(float)
-            fn, x0 = self._loss_closure(net, x, y)
-            res = nn.grad_check(fn, x0)
+            fn, x0, g0 = self._loss_closure(net, x, y)
+            res = nn.grad_check(fn, x0, g0)
             worst = max(worst, res.max_rel_error)
         assert worst < 1e-4
 
@@ -472,25 +474,28 @@ class TestFit:
 class TestGradCheck:
     def test_quadratic(self):
         def fn(x):
-            return 0.5 * float(x @ x), x.copy()
+            return 0.5 * float(x @ x)
 
-        res = nn.grad_check(fn, np.array([1.0, 2.0]))
+        x0 = np.array([1.0, 2.0])
+        res = nn.grad_check(fn, x0, x0.copy())
         assert res.max_rel_error < 1e-8
         assert res.skipped == []
 
     def test_relu_kink_skipped(self):
         def fn(x):
-            return float(np.maximum(x, 0.0).sum()), (x > 0).astype(float)
+            return float(np.maximum(x, 0.0).sum())
 
-        res = nn.grad_check(fn, np.array([0.0, 1.0]))
+        x0 = np.array([0.0, 1.0])
+        res = nn.grad_check(fn, x0, (x0 > 0).astype(float))
         assert res.skipped == [0]
         assert res.max_rel_error < 1e-8
 
     def test_wrong_gradient_detected(self):
         def fn(x):
-            return 0.5 * float(x @ x), 2.0 * x  # analytic gradient off by 2x
+            return 0.5 * float(x @ x)
 
-        res = nn.grad_check(fn, np.array([1.0, -2.0]))
+        x0 = np.array([1.0, -2.0])
+        res = nn.grad_check(fn, x0, 2.0 * x0)  # analytic gradient off by 2x
         assert res.max_rel_error > 0.3
 
 

@@ -1,35 +1,76 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import oracle_boundary_samples
 from shotgenre import metrics, nn, sceneboundary as sb
 from shotgenre.featurestore import Shot, VideoRecord
+
+
+def random_samples(rng, n, d, label=None):
+    """``n`` random samples as ``(x, y)``: per sample, four (d,) shots from
+    ``rng.normal`` and then, unless ``label`` fixes them all, a label from
+    ``rng.integers``."""
+    rows, labels = [], []
+    for _ in range(n):
+        rows.append(rng.normal(size=sb.WINDOW * d))
+        labels.append(int(rng.integers(0, 2)) if label is None else label)
+    return np.array(rows, dtype=np.float32), np.array(labels, dtype=np.int64)
+
+
+def sequence_samples(sequences):
+    """The ``(x, y)`` samples of annotated ``(features, flags)`` sequences,
+    in sequence order."""
+    xs, ys = zip(*(sb.build_samples(feats, flags) for feats, flags in sequences))
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 class TestBuildSamples:
     def test_four_shots_one_sample(self):
         feats = np.arange(8, dtype=np.float32).reshape(4, 2)
-        samples = sb.build_samples(feats, [0, 1, 0])
-        assert len(samples) == 1
-        assert samples[0].label == 1
-        np.testing.assert_array_equal(samples[0].shots, feats)
+        x, y = sb.build_samples(feats, [0, 1, 0])
+        assert x.shape == (1, 8) and x.dtype == np.float32
+        assert y.tolist() == [1] and y.dtype == np.int64
+        np.testing.assert_array_equal(x[0], feats.reshape(-1))
 
     def test_six_shots_three_samples(self):
         feats = np.zeros((6, 2), np.float32)
-        samples = sb.build_samples(feats, [0] * 5)
-        assert len(samples) == 3
-        assert all(s.label == 0 for s in samples)
+        x, y = sb.build_samples(feats, [0] * 5)
+        assert len(x) == 3
+        assert y.tolist() == [0, 0, 0]
 
     def test_five_shots_label_mapping(self):
         feats = np.zeros((5, 2), np.float32)
-        samples = sb.build_samples(feats, [0, 0, 1, 0])
-        assert [s.label for s in samples] == [0, 1]
+        _, y = sb.build_samples(feats, [0, 0, 1, 0])
+        assert y.tolist() == [0, 1]
 
     def test_sample_count_formula(self):
         rng = np.random.default_rng(0)
         for n in range(4, 20):
             feats = rng.normal(size=(n, 3)).astype(np.float32)
             flags = rng.integers(0, 2, size=n - 1).tolist()
-            assert len(sb.build_samples(feats, flags)) == n - 3
+            x, y = sb.build_samples(feats, flags)
+            assert x.shape == (n - 3, 12) and y.shape == (n - 3,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(4, 40).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float32, st.tuples(st.just(n), st.integers(1, 5)),
+                   elements=st.floats(width=32)),
+        st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1))))
+    def test_matches_oracle_bit_for_bit(self, case):
+        feats, flags = case
+        x, y = sb.build_samples(feats, flags)
+        want_x, want_y = oracle_boundary_samples(feats, flags)
+        assert x.dtype == want_x.dtype and x.shape == want_x.shape
+        assert x.tobytes() == want_x.tobytes()
+        assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes()
+
+    @pytest.mark.parametrize("flags", [[0, 0.7, 1.9, 0], [0, True, 0, 0], [0, 2, 0, 0],
+                                       [0, -1, 0, 0], [0, "1", 0, 0], [0, 1.0, 0, 0]])
+    def test_flags_must_be_integers_0_or_1(self, flags):
+        with pytest.raises(ValueError, match="integers 0 or 1"):
+            sb.build_samples(np.zeros((5, 2), np.float32), flags)
 
     def test_too_few_shots_rejected(self):
         with pytest.raises(ValueError):
@@ -43,9 +84,9 @@ class TestBuildSamples:
         shots = [Shot(np.full((2, 3), float(i), np.float32)) for i in range(4)]
         rec = VideoRecord("r", "train", set(), shots, np.zeros(2, np.float32), [],
                           boundary_flags=[0, 1, 0])
-        samples = sb.samples_from_record(rec)
-        assert len(samples) == 1 and samples[0].label == 1
-        np.testing.assert_array_equal(samples[0].shots[2], np.full(3, 2.0, np.float32))
+        x, y = sb.samples_from_record(rec)
+        assert x.shape == (1, 12) and y.tolist() == [1]
+        np.testing.assert_array_equal(x[0, 6:9], np.full(3, 2.0, np.float32))
 
     def test_record_without_flags_rejected(self):
         rec = VideoRecord("r", "train", set(),
@@ -59,9 +100,7 @@ class TestModel:
     def test_softmax_head_sums_to_one(self):
         model = sb.make_boundary_model(3, hidden_dims=(8, 4), seed=1)
         rng = np.random.default_rng(2)
-        samples = [sb.BoundarySample(rng.normal(size=(4, 3)).astype(np.float32), 0)
-                   for _ in range(5)]
-        x, _ = sb._stack(samples)
+        x, _ = random_samples(rng, 5, 3, label=0)
         probs, _ = nn.mlp_forward(model.mlp, x)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -75,10 +114,9 @@ class TestModel:
         worst = 0.0
         for i in range(10):
             model = sb.make_boundary_model(2, hidden_dims=(5, 3), seed=i)
-            samples = [sb.BoundarySample(rng.normal(size=(4, 2)).astype(np.float32),
-                                         int(rng.integers(0, 2))) for _ in range(3)]
-            fn, x0 = sb.grad_check_closure(model, samples)
-            worst = max(worst, nn.grad_check(fn, x0).max_rel_error)
+            x, y = random_samples(rng, 3, 2)
+            fn, x0, g0 = sb.grad_check_closure(model, x, y)
+            worst = max(worst, nn.grad_check(fn, x0, g0).max_rel_error)
         assert worst < 1e-4
 
     def test_checkpoint_roundtrip(self, tmp_path):
@@ -87,9 +125,9 @@ class TestModel:
         sb.save_boundary_model(model, path)
         loaded = sb.load_boundary_model(path)
         rng = np.random.default_rng(1)
-        samples = [sb.BoundarySample(rng.normal(size=(4, 3)).astype(np.float32), 1)]
-        np.testing.assert_array_equal(sb.predict_boundary(model, samples),
-                                      sb.predict_boundary(loaded, samples))
+        x, _ = random_samples(rng, 1, 3, label=1)
+        np.testing.assert_array_equal(sb.predict_boundary(model, x),
+                                      sb.predict_boundary(loaded, x))
 
 
     def _save_raw(self, path, hidden_dims, params):
@@ -146,9 +184,7 @@ class TestTraining:
     def test_weighted_equals_scaled_unweighted(self):
         rng = np.random.default_rng(8)
         model = sb.make_boundary_model(2, hidden_dims=(4,), seed=0)
-        samples = [sb.BoundarySample(rng.normal(size=(4, 2)).astype(np.float32),
-                                     int(rng.integers(0, 2))) for _ in range(6)]
-        x, y = sb._stack(samples)
+        x, y = random_samples(rng, 6, 2)
         base, _ = sb._loss_and_grads(model, x, y, (1.0, 1.0))
         doubled, _ = sb._loss_and_grads(model, x, y, (2.0, 2.0))
         assert doubled == 2.0 * base
@@ -156,28 +192,27 @@ class TestTraining:
     def test_planted_data_reaches_high_ap(self):
         seqs, _ = sb.synth_boundary_sequences(num_sequences=12, shots_per_sequence=30,
                                               feature_dim=6, seed=9)
-        samples = [s for feats, flags in seqs for s in sb.build_samples(feats, flags)]
+        x, y = sequence_samples(seqs)
         cfg = sb.BoundaryTrainConfig(epochs=60, max_lr=3e-3, seed=1,
                                      hidden_dims=(32, 16), batch_size=64)
-        model, history = sb.train_boundary(samples, cfg)
+        model, history = sb.train_boundary(x, y, cfg)
         assert max(h["val_ap"] for h in history) >= 0.9
 
     def test_seed_repeat_identical_checkpoints(self, tmp_path):
         seqs, _ = sb.synth_boundary_sequences(num_sequences=4, shots_per_sequence=20,
                                               feature_dim=4, seed=10)
-        samples = [s for feats, flags in seqs for s in sb.build_samples(feats, flags)]
+        x, y = sequence_samples(seqs)
         cfg = sb.BoundaryTrainConfig(epochs=2, seed=3, hidden_dims=(8, 4), batch_size=32)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        sb.save_boundary_model(sb.train_boundary(samples, cfg)[0], p1)
-        sb.save_boundary_model(sb.train_boundary(samples, cfg)[0], p2)
+        sb.save_boundary_model(sb.train_boundary(x, y, cfg)[0], p1)
+        sb.save_boundary_model(sb.train_boundary(x, y, cfg)[0], p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_degenerate_split_rejected(self):
         rng = np.random.default_rng(11)
-        samples = [sb.BoundarySample(rng.normal(size=(4, 2)).astype(np.float32), 0)
-                   for _ in range(20)]
+        x, y = random_samples(rng, 20, 2, label=0)
         with pytest.raises(ValueError, match="degenerate"):
-            sb.train_boundary(samples, sb.BoundaryTrainConfig(epochs=1, hidden_dims=(4,)))
+            sb.train_boundary(x, y, sb.BoundaryTrainConfig(epochs=1, hidden_dims=(4,)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -185,13 +220,17 @@ class TestTraining:
         with pytest.raises(ValueError):
             sb.BoundaryTrainConfig(class_weights=(0.0, 1.0)).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_lr", float("nan")), ("max_lr", float("inf")), ("max_lr", -1e-3),
+        ("class_weights", (float("nan"), 1.0)), ("class_weights", (float("inf"), 1.0)),
+        ("class_weights", (10.0, float("nan"))), ("class_weights", (10.0, -1.0)),
+    ])
+    def test_nonfinite_or_nonpositive_rate_and_weights_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            sb.BoundaryTrainConfig(**{field: value}).validate()
+
 
 class TestEval:
-    def _samples(self, scores_labels):
-        rng = np.random.default_rng(12)
-        return [sb.BoundarySample(rng.normal(size=(4, 2)).astype(np.float32), label)
-                for _, label in scores_labels]
-
     def test_toy_ap_matches_hand_ranking(self):
         # scores (0.9, 0.6, 0.4, 0.2), labels (1, 0, 1, 0):
         # positives at ranks 1 and 3 -> AP = (1/1 + 2/3) / 2
@@ -206,14 +245,14 @@ class TestEval:
     def test_eval_boundary_on_separating_model(self):
         seqs, _ = sb.synth_boundary_sequences(num_sequences=10, shots_per_sequence=25,
                                               feature_dim=5, seed=13)
-        samples = [s for feats, flags in seqs for s in sb.build_samples(feats, flags)]
+        x, y = sequence_samples(seqs)
         cfg = sb.BoundaryTrainConfig(epochs=60, max_lr=3e-3, seed=0,
                                      hidden_dims=(24, 8), batch_size=64)
-        model, _ = sb.train_boundary(samples, cfg)
-        result = sb.eval_boundary(model, samples)
+        model, _ = sb.train_boundary(x, y, cfg)
+        result = sb.eval_boundary(model, x, y)
         assert result["ap"] >= 0.9
 
     def test_empty_samples_rejected(self):
         model = sb.make_boundary_model(2, hidden_dims=(4,), seed=0)
         with pytest.raises(ValueError):
-            sb.eval_boundary(model, [])
+            sb.eval_boundary(model, np.zeros((0, 8), np.float32), np.zeros(0, np.int64))

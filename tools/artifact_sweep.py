@@ -28,15 +28,26 @@ BOUNDARY_SEQUENCES, BOUNDARY_TRAIN = 24, 18
 
 def write_boundary_sets(out: Path) -> None:
     """Annotated scene-boundary sequences as two datasets, built through the
-    public API: a training file and a held-out file."""
+    public API: a training file and a held-out file.
+
+    The held-out sequences alternate between the train and test splits, for
+    the ``--split train`` eval. Two more held-out records have no window to
+    score, and the evals skip them: an annotated one of three shots and one
+    without boundary flags."""
     seqs, _ = sceneboundary.synth_boundary_sequences(
         num_sequences=BOUNDARY_SEQUENCES, shots_per_sequence=43, feature_dim=8, seed=5)
-    records = [
-        featurestore.VideoRecord(f"seq{i:03d}", "train", set(),
-                                 [featurestore.Shot(f.reshape(1, -1)) for f in feats],
-                                 np.zeros(2, np.float32), [], boundary_flags=flags)
-        for i, (feats, flags) in enumerate(seqs)
-    ]
+
+    def record(rid, split, feats, flags):
+        return featurestore.VideoRecord(rid, split, set(),
+                                        [featurestore.Shot(f.reshape(1, -1)) for f in feats],
+                                        np.zeros(2, np.float32), [], boundary_flags=flags)
+
+    records = [record(f"seq{i:03d}", "train" if i < BOUNDARY_TRAIN or i % 2 else "test",
+                      feats, flags)
+               for i, (feats, flags) in enumerate(seqs)]
+    feats, flags = seqs[0]
+    records += [record("short", "train", feats[:3], flags[:2]),
+                record("unflagged", "train", feats, None)]
     taxonomy = featurestore.GenreTaxonomy(("none",))
     for name, part in (("boundary_train.jsonl", records[:BOUNDARY_TRAIN]),
                        ("boundary_heldout.jsonl", records[BOUNDARY_TRAIN:])):
@@ -64,6 +75,8 @@ def commands(out: Path) -> list:
          "--epochs", "20", "--hidden", "64,32", "--seed", "14"],
         ["boundary-eval", "--data", str(out / "boundary_heldout.jsonl"), "--model", boundary,
          "--out", str(out / "boundary_eval.json")],
+        ["boundary-eval", "--data", str(out / "boundary_heldout.jsonl"), "--model", boundary,
+         "--split", "train", "--out", str(out / "boundary_eval_train.json")],
     ]
 
 
