@@ -387,10 +387,22 @@ def _cmd_synth(v: dict) -> tuple:
     return out, [out, emb_path, truth_path]
 
 
+def _write_history(out: str, history, score: str, trained: str) -> str:
+    """Write the per-epoch ``history`` to ``<out>.history.csv`` and print its
+    best ``score`` after ``trained``, which names the model and the score."""
+    path = f"{out}.history.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"epoch,train_loss,{score}\n")
+        for row in history:
+            fh.write(f"{row['epoch']},{row['train_loss']!r},{row[score]!r}\n")
+    if history:
+        best = max(history, key=lambda r: r[score])
+        print(f"trained {trained} {best[score]:.4f} (epoch {best['epoch']})")
+    return path
+
+
 def _cmd_train(v: dict) -> tuple:
-    dataset = read_dataset(v["data"])
     mods = _parse_modalities(v["modalities"])
-    table = _load_embeddings_for(v, v["data"], needed="language" in mods)
     config = fusion.TrainConfig(
         strategy=v["fusion"], modalities=mods, d_h=v["d_h"], batch_size=v["batch"],
         epochs=v["epochs"], max_lr=v["max_lr"], seed=v["seed"],
@@ -398,18 +410,14 @@ def _cmd_train(v: dict) -> tuple:
         keywords_k=v["keywords_k"], resample_each_epoch=not v["no_resample"],
         optimizer=v["optimizer"], dropout=v["dropout"],
     )
+    config.validate()
+    dataset = read_dataset(v["data"])
+    table = _load_embeddings_for(v, v["data"], needed="language" in mods)
     model, history = fusion.train(dataset, config, table)
     out = v["out"]
     fusion.save_model(model, out)
-    hist_path = f"{out}.history.csv"
-    with open(hist_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,train_loss,val_macro_map\n")
-        for row in history:
-            fh.write(f"{row['epoch']},{row['train_loss']!r},{row['val_macro_map']!r}\n")
-    if history:
-        best = max(history, key=lambda r: r["val_macro_map"])
-        print(f"trained {config.strategy} fusion: best val macro-mAP "
-              f"{best['val_macro_map']:.4f} (epoch {best['epoch']})")
+    hist_path = _write_history(out, history, "val_macro_map",
+                               f"{config.strategy} fusion: best val macro-mAP")
     return out, [out, hist_path]
 
 
@@ -525,26 +533,20 @@ def _boundary_samples(records, none_message: str) -> tuple:
 
 def _cmd_boundary_train(v: dict) -> tuple:
     hidden_dims = _parse_sizes(v["hidden"], "hidden")
-    dataset = read_dataset(v["data"])
-    x, y = _boundary_samples(dataset.split("train"),
-                             "no annotated records (boundary_flags) in split 'train'")
     config = sceneboundary.BoundaryTrainConfig(
         class_weights=_parse_pair(v["weights"], "weights"),
         batch_size=v["batch"], epochs=v["epochs"], max_lr=v["max_lr"],
         seed=v["seed"], val_frac=v["val_frac"],
         hidden_dims=hidden_dims,
     )
+    config.validate()
+    dataset = read_dataset(v["data"])
+    x, y = _boundary_samples(dataset.split("train"),
+                             "no annotated records (boundary_flags) in split 'train'")
     model, history = sceneboundary.train_boundary(x, y, config)
     out = v["out"]
     sceneboundary.save_boundary_model(model, out)
-    hist_path = f"{out}.history.csv"
-    with open(hist_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,train_loss,val_ap\n")
-        for row in history:
-            fh.write(f"{row['epoch']},{row['train_loss']!r},{row['val_ap']!r}\n")
-    if history:
-        best = max(history, key=lambda r: r["val_ap"])
-        print(f"trained boundary model: best val AP {best['val_ap']:.4f} (epoch {best['epoch']})")
+    hist_path = _write_history(out, history, "val_ap", "boundary model: best val AP")
     return out, [out, hist_path]
 
 

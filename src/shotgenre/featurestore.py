@@ -18,24 +18,11 @@ pixel statistics as a ``(frames, 3)`` one, with the columns ``mean_luma,
 warm_frac, cold_frac``. ``array_json`` renders every float32 array of every
 file; the rest of a line is ``json.dumps`` text.
 
-Records from one ``read_dataset`` call, or one ``synth_dataset`` call,
-share their immutable ``Token`` instances: each distinct ``(text, pos)``
-pair is built once and referenced by every transcript that holds it.
-
-Reading and writing do per-token work once per distinct token, not once per
-occurrence:
-
-- ``write_dataset`` renders each distinct ``Token``'s ``["text","POS"]`` JSON
-  once per call, in a cache keyed by the token's ``id`` (every token stays
-  alive in the dataset for the call), and checks its text, case and POS when
-  it first enters that cache.
-- ``read_dataset`` checks a token's text, case and POS when it misses the
-  call's ``(text, pos) -> Token`` table, and only valid tokens enter the
-  table, so ``validate_record`` skips the per-token checks for a record whose
-  tokens all came from it. A record with an invalid token is validated in
-  full, which keeps every error message the same.
-- ``validate_record`` checks frame finiteness once per record and looks at
-  single shots only to name a failing one.
+A ``Token`` is valid once built. Records from one ``read_dataset`` call, or
+one ``synth_dataset`` call, share their immutable ``Token`` instances: each
+distinct ``(text, pos)`` pair is built once and referenced by every
+transcript that holds it, and ``write_dataset`` renders each distinct token
+once per call.
 """
 
 import json
@@ -120,7 +107,8 @@ class PixelStats(NamedTuple):
 
 @dataclass(frozen=True)
 class Token:
-    """One POS-tagged transcript word.
+    """One POS-tagged transcript word: a non-empty lowercase ``str`` text and
+    a ``str`` POS from ``POS_TAGS``; anything else raises DatasetFormatError.
 
     Immutable, so records may share instances: the records of one read or
     one synth hold one ``Token`` per distinct ``(text, pos)`` pair.
@@ -128,6 +116,20 @@ class Token:
 
     text: str
     pos: str
+
+    def __post_init__(self):
+        text, pos = self.text, self.pos
+        if type(text) is not str or type(pos) is not str:
+            problem = f"is not a pair of strings: {[text, pos]!r}"
+        elif not text:
+            problem = "has empty text"
+        elif text != text.lower():
+            problem = f"({text!r}) is not lowercase"
+        elif pos not in POS_TAGS:
+            problem = f"has unknown POS {pos!r}"
+        else:
+            return
+        raise DatasetFormatError(f"token {problem}")
 
 
 class Shot:
@@ -294,34 +296,19 @@ def _check_finite(arr) -> bool:
     return bool(np.isfinite(arr).all())
 
 
-def _token_problems(text, pos) -> list:
-    """What is wrong with one transcript token, as the ends of
-    ``validate_record``'s messages; empty for a valid token."""
-    problems = []
-    if not text:
-        problems.append(" has empty text")
-    elif text != text.lower():
-        problems.append(f" ({text!r}) is not lowercase")
-    if pos not in POS_TAGS:
-        problems.append(f" has unknown POS {pos!r}")
-    return problems
-
-
 def valid_flags(flags) -> bool:
     """Whether every boundary flag is the integer 0 or 1 (a bool is not)."""
     return all(type(b) is int and b in (0, 1) for b in flags)
 
 
-def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims, *,
-                    tokens_checked: bool = False) -> list:
+def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims) -> list:
     """Return ALL violations (empty list means the record is valid).
 
     ``dims`` is ``(d_v, d_a, d_l)``; d_l is unused here (transcripts carry no
-    vectors) but kept so callers can pass dataset dims directly.
-
-    ``tokens_checked=True`` states that every transcript token has already
-    passed the text, case and POS checks, which are then skipped: the reader
-    and writer check each distinct token once, not once per occurrence.
+    vectors) but kept so callers can pass dataset dims directly. Transcript
+    tokens are not checked here: a ``Token`` is valid once built. Frame
+    finiteness is checked once per record; single shots are looked at only
+    to name a failing one.
     """
     d_v, d_a, _ = dims
     rid = record.id
@@ -369,10 +356,6 @@ def validate_record(record: VideoRecord, taxonomy: GenreTaxonomy, dims, *,
         )
     elif not _check_finite(record.audio_embedding):
         problems.append(f"record {rid}: audio embedding has non-finite values")
-    if not tokens_checked:
-        for ti, tok in enumerate(record.transcript):
-            problems += [f"record {rid}: transcript token {ti}{end}"
-                         for end in _token_problems(tok.text, tok.pos)]
     if record.boundary_flags is not None:
         if len(record.boundary_flags) != max(len(record.shots) - 1, 0):
             problems.append(
@@ -415,36 +398,30 @@ def _record_json(record: VideoRecord, token_json: dict) -> str:
     return line + "}"
 
 
-def _cache_token_json(transcript, token_json: dict) -> bool:
+def _cache_token_json(transcript, token_json: dict) -> None:
     """Render each transcript token missing from ``token_json`` once, keyed by
-    its ``id``. Only a valid token (no ``_token_problems``) enters the cache;
-    False if the transcript holds another."""
+    its ``id``; every token stays alive in the dataset for the call."""
     if all(map(token_json.__contains__, map(id, transcript))):
-        return True
+        return
     for tok in transcript:
         if id(tok) not in token_json:
-            if _token_problems(tok.text, tok.pos):
-                return False
             token_json[id(tok)] = f"[{json.dumps(tok.text)},{json.dumps(tok.pos)}]"
-    return True
 
 
-def _transcript_from_obj(entries, tokens: dict):
-    """Map ``[text, pos]`` entries to shared Tokens through ``tokens``, a
-    ``(text, pos) -> Token`` table of valid tokens only. Returns the
-    transcript and whether every token in it is valid.
+def _transcript_from_obj(entries, tokens: dict) -> list:
+    """Map ``[text, pos]`` entries to shared Tokens through ``tokens``, the
+    read's ``(text, pos) -> Token`` table.
 
     A transcript of table hits is one lookup per entry; a miss, or any entry
     that is not a pair, goes through the indexed loop, which names the bad
-    entry and checks a new token once, before it enters the table."""
+    entry and builds a new Token once, before it enters the table."""
     try:
         # the type guard keeps a two-key object from unpacking like a pair
         if {list}.issuperset(map(type, entries)):
-            return [tokens[text, pos] for text, pos in entries], True
+            return [tokens[text, pos] for text, pos in entries]
     except (KeyError, TypeError, ValueError):
         pass
     transcript = []
-    valid = True
     for ti, entry in enumerate(entries):
         if type(entry) is not list or len(entry) != 2:
             raise ValueError(f"transcript token {ti} is not a [text, pos] pair: {entry!r}")
@@ -452,21 +429,17 @@ def _transcript_from_obj(entries, tokens: dict):
         try:
             tok = tokens[text, pos]
         except (KeyError, TypeError):  # a miss, or an unhashable element
-            if type(text) is not str or type(pos) is not str:
+            try:
+                tok = tokens[text, pos] = Token(text, pos)
+            except DatasetFormatError as exc:
                 raise ValueError(
-                    f"transcript token {ti} is not a pair of strings: {entry!r}"
-                ) from None
-            tok = Token(text, pos)
-            if _token_problems(text, pos):
-                valid = False
-            else:
-                tokens[text, pos] = tok
+                    f"transcript token {ti}{str(exc).removeprefix('token')}") from None
         transcript.append(tok)
-    return transcript, valid
+    return transcript
 
 
-def _record_from_obj(obj, lineno: int, tokens: dict):
-    """Build one record; returns it and whether its tokens are all valid."""
+def _record_from_obj(obj, lineno: int, tokens: dict) -> VideoRecord:
+    """Build one record, its transcript through the read's token table."""
     try:
         shots = []
         for s in obj["shots"]:
@@ -475,26 +448,26 @@ def _record_from_obj(obj, lineno: int, tokens: dict):
                 stats = [(float(p["mean_luma"]), float(p["warm_frac"]), float(p["cold_frac"]))
                          for p in s["pixel_stats"]]
             shots.append(Shot(np.asarray(s["frames"], dtype=np.float32), stats))
-        transcript, tokens_valid = _transcript_from_obj(obj["transcript"], tokens)
+        transcript = _transcript_from_obj(obj["transcript"], tokens)
         if type(obj["id"]) is not str:
             raise ValueError(f"id must be a string, got {obj['id']!r}")
         flags = obj.get("boundary_flags")
         if flags is not None and (type(flags) is not list or not valid_flags(flags)):
             raise ValueError(f"boundary_flags must be a list of integers 0 or 1, got {flags!r}")
-        record = VideoRecord(
+        genres = obj["genres"]
+        if type(genres) is not list or any(type(g) is not str for g in genres):
+            raise ValueError(f"genres must be a list of strings, got {genres!r}")
+        return VideoRecord(
             id=obj["id"],
             split=obj["split"],
-            genres=obj["genres"],
+            genres=genres,
             shots=shots,
             audio_embedding=obj["audio_embedding"],
             transcript=transcript,
             boundary_flags=flags,
         )
-        if any(type(g) is not str for g in record.genres):
-            raise ValueError(f"genres must be strings, got {obj['genres']!r}")
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DatasetFormatError(f"line {lineno}: malformed record ({exc})") from exc
-    return record, tokens_valid
 
 
 def write_jsonl(path, header: dict, lines) -> None:
@@ -562,15 +535,15 @@ def finite_vector(values, length: int, lineno: int, name: str) -> np.ndarray:
 def write_dataset(dataset: Dataset, path) -> None:
     """Write a validated dataset; raises on the first invalid record.
 
-    Each distinct transcript ``Token`` is checked and rendered once per call.
+    Each distinct transcript ``Token`` is rendered once per call.
     """
     dims = (dataset.d_v, dataset.d_a, dataset.d_l)
     token_json = {}
     for rec in dataset.records:
-        checked = _cache_token_json(rec.transcript, token_json)
-        problems = validate_record(rec, dataset.taxonomy, dims, tokens_checked=checked)
+        problems = validate_record(rec, dataset.taxonomy, dims)
         if problems:
             raise DatasetFormatError("; ".join(problems))
+        _cache_token_json(rec.transcript, token_json)
     header = {"taxonomy": list(dataset.taxonomy.names),
               "d_v": dataset.d_v, "d_a": dataset.d_a, "d_l": dataset.d_l}
     write_jsonl(path, header, (_record_json(rec, token_json) for rec in dataset.records))
@@ -580,8 +553,9 @@ def read_dataset(path) -> Dataset:
     """Parse and validate a record-stream file.
 
     Raises DatasetFormatError naming the offending line / record id for
-    malformed lines, dimension mismatches, duplicate ids, or unknown genres.
-    The records share one ``Token`` per distinct ``(text, pos)`` pair.
+    malformed lines, invalid tokens (by their index in the transcript),
+    dimension mismatches, duplicate ids, or unknown genres. The records share
+    one ``Token`` per distinct ``(text, pos)`` pair, each built once.
     """
     records = []
     seen = set()
@@ -591,8 +565,8 @@ def read_dataset(path) -> Dataset:
         # a value beyond float32 range becomes inf, which validation reports
         with np.errstate(over="ignore"):
             for lineno, obj in lines:
-                rec, checked = _record_from_obj(obj, lineno, tokens)
-                problems = validate_record(rec, taxonomy, dims, tokens_checked=checked)
+                rec = _record_from_obj(obj, lineno, tokens)
+                problems = validate_record(rec, taxonomy, dims)
                 if problems:
                     raise DatasetFormatError(f"line {lineno}: " + "; ".join(problems))
                 if rec.id in seen:

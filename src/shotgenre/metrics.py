@@ -111,12 +111,15 @@ def genre_report(predictions: PredictionSet, truth, taxonomy=None, threshold: fl
     """Build the full macro/micro report for a prediction set.
 
     ``truth`` is a mapping id -> genre collection, or an iterable of records.
-    A prediction counts as positive when score >= threshold (inclusive).
+    A prediction counts as positive when score >= threshold (inclusive); the
+    threshold must be finite.
     ``micro_map_mode``: "pooled" ranks all (record, genre) pairs together;
     "weighted" is the support-weighted mean of per-genre APs.
     """
     if micro_map_mode not in ("pooled", "weighted"):
         raise ValueError(f"unknown micro_map_mode {micro_map_mode!r}")
+    if not -np.inf < threshold < np.inf:
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
     truth_map = _normalize_truth(truth)
     names = list(taxonomy.names) if taxonomy is not None else list(predictions.genres)
     if names != list(predictions.genres):

@@ -33,6 +33,7 @@ __all__ = [
     "set_mlp_params",
     "mlp_forward",
     "backward",
+    "softmax",
     "bce_loss",
     "weighted_ce_loss",
     "adam_step",
@@ -48,7 +49,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-ACTIVATIONS = ("relu", "sigmoid", "softmax", "linear")
+ACTIVATIONS = ("relu", "sigmoid", "linear")
 
 # probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any log
 PROB_EPS = 1e-7
@@ -142,10 +143,6 @@ def _apply_activation(act: str, z: np.ndarray) -> np.ndarray:
         ez = np.exp(z[~pos])
         out[~pos] = ez / (1.0 + ez)
         return out
-    if act == "softmax":
-        shifted = z - z.max(axis=-1, keepdims=True)
-        ez = np.exp(shifted)
-        return ez / ez.sum(axis=-1, keepdims=True)
     return z  # linear
 
 
@@ -190,14 +187,19 @@ def backward(mlp: Mlp, cache, upstream) -> tuple:
             dz = da * (a > 0)
         elif act == "sigmoid":
             dz = da * a * (1.0 - a)
-        elif act == "softmax":
-            dz = a * (da - (da * a).sum(axis=-1, keepdims=True))
         else:
             dz = da
         dz2 = dz.reshape(-1, dz.shape[-1])
         grads[i] = (dz2.T @ x.reshape(-1, x.shape[-1]), dz2.sum(axis=0))
         da = dz @ np.asarray(layer.weights, dtype=np.float64)
     return grads, da
+
+
+def softmax(z) -> np.ndarray:
+    """Softmax over the last axis: subtract the row max, exp, divide by the
+    row sum."""
+    ez = np.exp(z - z.max(axis=-1, keepdims=True))
+    return ez / ez.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +243,7 @@ def weighted_ce_loss(logits, labels, class_weights=(10.0, 1.0)) -> tuple:
         raise ValueError("non-finite logits")
     w_pos, w_neg = float(class_weights[0]), float(class_weights[1])
     w = np.where(y == 1, w_pos, w_neg)
-    sm = _apply_activation("softmax", z.reshape(-1, 2))
+    sm = softmax(z.reshape(-1, 2))
     b = sm.shape[0]
     picked = np.clip(sm[np.arange(b), y], PROB_EPS, None)
     loss = float(np.sum(w * -np.log(picked))) / b

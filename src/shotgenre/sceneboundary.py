@@ -7,7 +7,8 @@ boundary sits between the middle two shots. Samples travel as one ``(x, y)``
 pair: row i of the float32 matrix ``x`` is one sample's four shots
 flattened, and ``y[i]`` is its int64 label. The classifier is an MLP
 (4*d - 4096 - 1024 - 2 by default, hidden sizes configurable for toy runs)
-with a softmax head trained with weighted cross-entropy, boundary weighted
+whose two outputs are logits; :func:`nn.softmax` of them gives the class
+probabilities. It is trained with weighted cross-entropy, boundary weighted
 10:1 over non-boundary. The loop is :func:`nn.fit` and the parameters go
 through :func:`nn.mlp_params` / :func:`nn.set_mlp_params`; this module
 supplies the samples, the loss and the validation AP.
@@ -87,15 +88,15 @@ def make_boundary_model(feature_dim: int, hidden_dims=(4096, 1024), seed: int = 
 
 def _boundary_model(feature_dim: int, hidden_dims, rng) -> BoundaryModel:
     dims = (WINDOW * feature_dim, *hidden_dims, 2)
-    activations = ["relu"] * len(hidden_dims) + ["softmax"]
+    activations = ["relu"] * len(hidden_dims) + ["linear"]
     return BoundaryModel(mlp=nn.make_mlp(dims, activations, rng),
                          feature_dim=feature_dim, hidden_dims=tuple(hidden_dims))
 
 
 def predict_boundary(model: BoundaryModel, x) -> np.ndarray:
     """Boundary-class probability per row of ``x`` (softmax component 1)."""
-    probs, _ = nn.mlp_forward(model.mlp, x)
-    return probs[:, 1].astype(np.float32)
+    logits, _ = nn.mlp_forward(model.mlp, x)
+    return nn.softmax(logits)[:, 1].astype(np.float32)
 
 
 @dataclass
@@ -120,18 +121,14 @@ class BoundaryTrainConfig:
 
 
 def _loss(model: BoundaryModel, x, y, weights) -> tuple:
-    """The weighted-CE loss, its gradient for the logits, the logits net and
-    its forward cache."""
-    # The softmax lives in the network head; a linear-head view of the same
-    # layers gives the logits, so the weighted-CE grad flows back exactly.
-    logits_net = nn.Mlp(model.mlp.layers, model.mlp.activations[:-1] + ["linear"])
-    logits, cache = nn.mlp_forward(logits_net, x)
-    return (*nn.weighted_ce_loss(logits, y, weights), logits_net, cache)
+    """The weighted-CE loss, its gradient for the logits and the forward cache."""
+    logits, cache = nn.mlp_forward(model.mlp, x)
+    return (*nn.weighted_ce_loss(logits, y, weights), cache)
 
 
 def _loss_and_grads(model: BoundaryModel, x, y, weights) -> tuple:
-    loss, d_logits, logits_net, cache = _loss(model, x, y, weights)
-    grads, _ = nn.backward(logits_net, cache, d_logits)
+    loss, d_logits, cache = _loss(model, x, y, weights)
+    grads, _ = nn.backward(model.mlp, cache, d_logits)
     return loss, [g for pair in grads for g in pair]
 
 
@@ -165,8 +162,8 @@ def train_boundary(x, y, config: BoundaryTrainConfig) -> tuple:
         return _loss_and_grads(model, x[rows], y[rows], config.class_weights)
 
     def evaluate():
-        val_scores, _ = nn.mlp_forward(model.mlp, x[val_idx])
-        return metrics.average_precision(val_scores[:, 1], y[val_idx])
+        val_logits, _ = nn.mlp_forward(model.mlp, x[val_idx])
+        return metrics.average_precision(nn.softmax(val_logits)[:, 1], y[val_idx])
 
     history = nn.fit([model.mlp], len(train_idx), batch_loss, evaluate,
                      epochs=config.epochs, batch_size=config.batch_size,

@@ -101,7 +101,7 @@ def test_mixed_type_genres_exit_1(tmp_path, capsys):
               "shots": [{"frames": [[1.0, 2.0]]}], "audio_embedding": [0.5], "transcript": []}
     data.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
     assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt")]) == 1
-    assert "line 2: malformed record (genres must be strings" in capsys.readouterr().err
+    assert "line 2: malformed record (genres must be a list of strings" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("taxonomy, named", [
@@ -176,6 +176,25 @@ def test_report_rejects_malformed_scores(workdir, tmp_path, capsys, score):
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ")
     assert not (tmp_path / "re.report.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_threshold_exit_1(workdir, tmp_path, capsys, command, value):
+    # a NaN threshold used to report recall and precision of 0 with exit 0
+    root, data, model = workdir
+    if command == "eval":
+        source = ["--model", str(model)]
+    else:
+        assert run(["eval", "--data", str(data), "--model", str(model),
+                    "--out-prefix", str(tmp_path / "ev")]) == 0
+        source = ["--predictions", str(tmp_path / "ev.predictions.jsonl")]
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert run([command, "--data", str(data), *source, f"--threshold={value}",
+                "--out-prefix", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: threshold must be finite, got {value}\n"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_keywords_and_tfidf(workdir, tmp_path):
@@ -335,6 +354,17 @@ class TestBoundaryCommands:
                     "--epochs", "1", option, value]) == 1
         assert capsys.readouterr().err == f"error: {named}\n"
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["train", "boundary-train"])
+    def test_config_checked_before_dataset(self, tmp_path, capsys, command):
+        # the rate is rejected without reading --data, which is not a dataset
+        data = tmp_path / "not-a-dataset.jsonl"
+        data.write_text("not json\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run([command, "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                    "--max-lr", "nan"]) == 1
+        assert capsys.readouterr().err == "error: max_lr must be finite and > 0, got nan\n"
+        assert os.listdir(tmp_path) == [data.name]
 
     def test_eval_short_checkpoint_exit_1(self, annotated, tmp_path, capsys):
         from shotgenre import nn, sceneboundary as sb

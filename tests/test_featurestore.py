@@ -23,6 +23,16 @@ def small():
     return fs.synth_dataset(small_config(), seed=21)
 
 
+_BAD_TOKENS = [
+    (("Ship", "NOUN"), "token ('Ship') is not lowercase"),
+    (("", "NOUN"), "token has empty text"),
+    (("sea", "XX"), "token has unknown POS 'XX'"),
+    ((5, "NOUN"), "token is not a pair of strings: [5, 'NOUN']"),
+    (("sea", None), "token is not a pair of strings: ['sea', None]"),
+]
+_BAD_TOKEN_IDS = ["case", "empty", "pos", "int-text", "null-pos"]
+
+
 class TestRoundTrip:
     def test_identity_on_synthetic(self, small, tmp_path):
         ds, _, _ = small
@@ -217,14 +227,11 @@ class TestValidateRecord:
         assert len(problems) == 2  # no shots + wrong audio length
 
     def test_bad_token_pos_and_case(self):
-        taxonomy = fs.GenreTaxonomy(("A",))
-        rec = fs.VideoRecord("x", "train", set(),
-                             [fs.Shot(np.zeros((1, 2), np.float32))],
-                             np.zeros(1, np.float32),
-                             [fs.Token("Ship", "NOUN"), fs.Token("sea", "XX")])
-        problems = fs.validate_record(rec, taxonomy, (2, 1, 1))
-        assert any("lowercase" in p for p in problems)
-        assert any("POS" in p for p in problems)
+        # a token is checked when it is built, so no record can hold a bad one
+        for pair, message in _BAD_TOKENS:
+            with pytest.raises(fs.DatasetFormatError) as err:
+                fs.Token(*pair)
+            assert str(err.value) == message
 
     def test_boundary_flags_length(self):
         taxonomy = fs.GenreTaxonomy(("A",))
@@ -561,28 +568,37 @@ def test_read_fuzzed_record_raises_only_format_errors(tmp_path_factory, mutation
 
 
 class TestTokenChecksOnTableMiss:
-    def _record(self, rid, transcript, genres=("A",)):
-        return {"id": rid, "split": "train", "genres": list(genres),
+    def _record(self, rid, transcript):
+        return {"id": rid, "split": "train", "genres": ["A"],
                 "shots": [{"frames": [[1.0, 2.0]]}], "audio_embedding": [0.5],
                 "transcript": transcript}
 
     @pytest.mark.parametrize("first_bad", [1, 2])
     def test_repeated_invalid_token_names_first_bad_record(self, tmp_path, first_bad):
+        # an invalid pair never enters the table, so every record holding it
+        # misses and builds it again; the first such record is named
         good = [["ok", "NOUN"], ["fine", "ADJ"]]
         bad = good + [["Ship", "NOUN"], ["sea", "XX"], ["ok", "NOUN"]]
-        records = [self._record(f"r{i}", bad if i >= first_bad else good,
-                                genres=("A", "Z") if i == first_bad else ("A",))
-                   for i in range(4)]
+        records = [self._record(f"r{i}", bad if i >= first_bad else good) for i in range(4)]
         head = {"format_version": 1, "taxonomy": ["A"], "d_v": 2, "d_a": 1, "d_l": 1}
         path = tmp_path / "d.jsonl"
         path.write_text("\n".join(map(json.dumps, [head] + records)) + "\n", encoding="utf-8")
-        rid = f"r{first_bad}"
-        expect = (f"line {first_bad + 2}: record {rid}: genre 'Z' not in taxonomy; "
-                  f"record {rid}: transcript token 2 ('Ship') is not lowercase; "
-                  f"record {rid}: transcript token 3 has unknown POS 'XX'")
+        expect = (f"line {first_bad + 2}: malformed record "
+                  f"(transcript token 2 ('Ship') is not lowercase)")
         with pytest.raises(fs.DatasetFormatError) as err:
             fs.read_dataset(path)
         assert str(err.value) == expect
+
+    @pytest.mark.parametrize("pair, message", _BAD_TOKENS, ids=_BAD_TOKEN_IDS)
+    def test_invalid_token_names_line_and_index(self, tmp_path, pair, message):
+        head = {"format_version": 1, "taxonomy": ["A"], "d_v": 2, "d_a": 1, "d_l": 1}
+        record = self._record("r1", [["ok", "NOUN"], list(pair)])
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(head) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(fs.DatasetFormatError) as err:
+            fs.read_dataset(path)
+        assert str(err.value) == (f"line 2: malformed record (transcript token 1"
+                                  f"{message.removeprefix('token')})")
 
     def test_two_key_object_is_not_a_table_hit(self, tmp_path):
         # unpacks to the keys ("ok", "NOUN"), a pair the first record put in the table
@@ -597,15 +613,21 @@ class TestTokenChecksOnTableMiss:
             fs.read_dataset(path)
 
     def test_write_repeated_invalid_token_names_first_bad_record(self, tmp_path):
+        # an invalid token cannot be built, so it never reaches the writer
+        with pytest.raises(fs.DatasetFormatError, match="^token has empty text$"):
+            fs.Token("", "NOUN")
+        # records sharing one rendered token: the first invalid one is named
         taxonomy = fs.GenreTaxonomy(("A",))
-        ok, bad = fs.Token("ok", "NOUN"), fs.Token("", "NOUN")
-        records = [fs.VideoRecord(f"r{i}", "train", set(), [fs.Shot(np.zeros((1, 2), np.float32))],
-                                  np.zeros(1, np.float32), [ok, bad] if i else [ok])
+        ok = fs.Token("ok", "NOUN")
+        records = [fs.VideoRecord(f"r{i}", "train", {"Z"} if i else set(),
+                                  [fs.Shot(np.zeros((1, 2), np.float32))],
+                                  np.zeros(1, np.float32), [ok, ok])
                    for i in range(3)]
         with pytest.raises(fs.DatasetFormatError) as err:
             fs.write_dataset(fs.Dataset(taxonomy, 2, 1, 1, records), tmp_path / "d.jsonl")
-        assert str(err.value) == "record r1: transcript token 1 has empty text"
+        assert str(err.value) == "record r1: genre 'Z' not in taxonomy"
         assert fs.validate_record(records[1], taxonomy, (2, 1, 1)) == [str(err.value)]
+        assert not (tmp_path / "d.jsonl").exists()
 
 
 class TestSatelliteErrors:
@@ -623,9 +645,18 @@ class TestSatelliteErrors:
 
     def test_read_rejects_non_string_genre(self, tmp_path):
         path = self._write(tmp_path, [self.HEAD, self._record(), self._record(id="r2", genres=[1, "A"])])
-        named = r"line 3: malformed record \(genres must be strings, got \[1, 'A'\]\)"
+        named = r"line 3: malformed record \(genres must be a list of strings, got \[1, 'A'\]\)"
         with pytest.raises(fs.DatasetFormatError, match=named):
             fs.read_dataset(path)
+
+    @pytest.mark.parametrize("genres", ["AB", {"A": 1}, None, 5, ["A", ["B"]]],
+                             ids=["string", "object", "null", "number", "nested-list"])
+    def test_read_requires_list_of_string_genres(self, tmp_path, genres):
+        path = self._write(tmp_path, [self.HEAD, self._record(genres=genres)])
+        with pytest.raises(fs.DatasetFormatError) as err:
+            fs.read_dataset(path)
+        assert str(err.value) == (
+            f"line 2: malformed record (genres must be a list of strings, got {genres!r})")
 
     def test_validate_reports_non_string_genre(self):
         taxonomy = fs.GenreTaxonomy(("A",))

@@ -60,9 +60,16 @@ class TestForward:
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
-        net = make_net((3, 4), ["softmax"], seed=1)
-        out, _ = nn.mlp_forward(net, np.random.default_rng(2).normal(size=(5, 3)))
+        net = make_net((3, 4), ["linear"], seed=1)
+        logits, _ = nn.mlp_forward(net, np.random.default_rng(2).normal(size=(5, 3)))
+        out = nn.softmax(logits)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        # the row max is subtracted first, so huge logits do not overflow
+        np.testing.assert_allclose(nn.softmax(logits + 1000.0), out, rtol=1e-9)
+
+    def test_softmax_is_not_an_activation(self):
+        with pytest.raises(ValueError, match="unknown activation 'softmax'"):
+            make_net((3, 4), ["softmax"])
 
     def test_shape_mismatch_rejected(self):
         net = make_net((3, 2), ["linear"])

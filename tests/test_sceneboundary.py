@@ -101,8 +101,10 @@ class TestModel:
         model = sb.make_boundary_model(3, hidden_dims=(8, 4), seed=1)
         rng = np.random.default_rng(2)
         x, _ = random_samples(rng, 5, 3, label=0)
-        probs, _ = nn.mlp_forward(model.mlp, x)
+        logits, _ = nn.mlp_forward(model.mlp, x)
+        probs = nn.softmax(logits)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+        assert sb.predict_boundary(model, x).tobytes() == probs[:, 1].astype(np.float32).tobytes()
 
     def test_architecture_dims(self):
         model = sb.make_boundary_model(16)

@@ -55,15 +55,27 @@ def write_boundary_sets(out: Path) -> None:
 
 
 def commands(out: Path) -> list:
-    data, pixels, model, boundary = (str(out / name) for name in
-                                     ("data.jsonl", "pixels.jsonl", "model.ckpt", "boundary.ckpt"))
+    data, pixels, model, late, early, boundary = (
+        str(out / name) for name in ("data.jsonl", "pixels.jsonl", "model.ckpt", "late.ckpt",
+                                     "early.ckpt", "boundary.ckpt"))
+    train = ["--epochs", "5", "--d-h", "8", "--seed", "13"]
     return [
         ["synth", "--out", data, *SYNTH, "--shots", "10", "--frames", "3", "--seed", "11"],
         ["synth", "--out", pixels, *SYNTH, "--shots", "4", "--frames", "2", "--pixel-stats",
          "--seed", "12"],
-        ["train", "--data", data, "--out", model, "--epochs", "5", "--d-h", "8", "--seed", "13"],
+        ["train", "--data", data, "--out", model, *train],
         ["eval", "--data", data, "--model", model, "--split", "test",
          "--out-prefix", str(out / "eval")],
+        # the other two fusion strategies, and the training options left at
+        # their defaults above
+        ["train", "--data", data, "--out", late, *train, "--fusion", "late",
+         "--modalities", "v,a", "--dropout", "0.2", "--optimizer", "sgd", "--max-lr", "0.05",
+         "--no-resample"],
+        ["eval", "--data", data, "--model", late, "--split", "test",
+         "--out-prefix", str(out / "eval_late")],
+        ["train", "--data", data, "--out", early, *train, "--fusion", "early"],
+        ["eval", "--data", data, "--model", early, "--split", "test",
+         "--out-prefix", str(out / "eval_early")],
         ["report", "--data", data, "--predictions", str(out / "eval.predictions.jsonl"),
          "--out-prefix", str(out / "report")],
         ["keywords", "--data", data, "--out", str(out / "keywords.csv"), "--k", "5"],
